@@ -4,31 +4,21 @@ Three kinds, all instance-normalized and channel-shared:
   linear_direct: one lookback->horizon linear map
   decomp_linear: trend/seasonal split, one linear map per component
   dual_branch:   linear seasonal map + single-hidden-layer ReLU MLP trend
+
+Each branch is one of the model's ``linear``/``mlp`` stages, so forward
+and reverse reuse the model's ops.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .config import BaselineConfig
-from .model import ParamSet, check_params_match
-from .preprocess import InstanceStats, decompose, instance_denormalize, \
-    instance_normalize
-
-
-@dataclass
-class BaselineContext:
-    """Intermediates for the reverse pass (all normalized scale)."""
-
-    stats: InstanceStats
-    seasonal_in: np.ndarray | None   # (B*C, T)
-    trend_in: np.ndarray | None      # (B*C, T)
-    direct_in: np.ndarray | None     # (B*C, T)
-    trend_pre: np.ndarray | None     # (B*C, hidden), dual_branch only
-    trend_act: np.ndarray | None
+from .model import ParamSet, check_params_match, linear, linear_backward, mlp, \
+    mlp_backward
+from .preprocess import decompose, instance_denormalize, instance_normalize
 
 
 def baseline_param_layout(cfg: BaselineConfig) -> dict[str, tuple[int, ...]]:
@@ -66,36 +56,50 @@ def baseline_forward(x: np.ndarray, params: ParamSet,
 
 def baseline_forward_with_context(x: np.ndarray, params: ParamSet,
                                   cfg: BaselineConfig):
+    """``baseline_forward`` plus the intermediates ``baseline_backward``
+    reads: the instance stats and, per branch, its name, its (B*C x T)
+    input and the trend MLP's hidden activation (None for a linear map)."""
     if x.ndim != 3 or x.shape[1] != cfg.lookback or x.shape[2] != cfg.channels:
         raise ValueError(f"baseline input shape {x.shape} does not match "
                          f"(lookback={cfg.lookback}, channels={cfg.channels})")
     check_params_match(params, cfg, layout=baseline_param_layout(cfg))
-    dtype = params.dtype
-    x = np.ascontiguousarray(x, dtype=dtype)
+    x = np.ascontiguousarray(x, dtype=params.dtype)
     b, t, c = x.shape
 
     x_norm, stats = instance_normalize(x)
-    ctx = BaselineContext(stats=stats, seasonal_in=None, trend_in=None,
-                          direct_in=None, trend_pre=None, trend_act=None)
-
     if cfg.kind == "linear_direct":
-        flat = x_norm.transpose(0, 2, 1).reshape(b * c, t)
-        out = flat @ params["direct.weight"] + params["direct.bias"]
-        ctx.direct_in = flat
+        inputs = {"direct": x_norm}
     else:
         parts = decompose(x_norm, cfg.kernel)
-        seasonal = parts.seasonal.transpose(0, 2, 1).reshape(b * c, t)
-        trend = parts.trend.transpose(0, 2, 1).reshape(b * c, t)
-        ctx.seasonal_in, ctx.trend_in = seasonal, trend
-        out = seasonal @ params["seasonal.weight"] + params["seasonal.bias"]
-        if cfg.kind == "decomp_linear":
-            out = out + trend @ params["trend.weight"] + params["trend.bias"]
-        else:  # dual_branch
-            pre = trend @ params["trend.fc1.weight"] + params["trend.fc1.bias"]
-            act = np.maximum(pre, 0)
-            out = out + act @ params["trend.fc2.weight"] + params["trend.fc2.bias"]
-            ctx.trend_pre, ctx.trend_act = pre, act
+        inputs = {"seasonal": parts.seasonal, "trend": parts.trend}
+    out = None
+    branches = []
+    for name, series in inputs.items():
+        flat = series.transpose(0, 2, 1).reshape(b * c, t)
+        if name == "trend" and cfg.kind == "dual_branch":
+            out, act = mlp(flat, params, name, residual=out)
+        else:
+            out, act = linear(flat, params[f"{name}.weight"],
+                              params[f"{name}.bias"], residual=out), None
+        branches.append((name, flat, act))
 
     forecast_norm = out.reshape(b, c, cfg.horizon).transpose(0, 2, 1)
     forecast = instance_denormalize(forecast_norm, stats)
-    return forecast, ctx
+    return forecast, (stats, branches)
+
+
+def baseline_backward(d_forecast: np.ndarray, saved: tuple, params: ParamSet,
+                      cfg: BaselineConfig) -> ParamSet:
+    """Gradients of every parameter tensor from the loss gradient at the
+    forecast (B x F x C). Branch inputs are constants, so each branch's
+    first layer computes parameter gradients only."""
+    stats, branches = saved
+    grads = params.zeros_like()
+    d_norm = (d_forecast * stats.std[:, None, :]).transpose(0, 2, 1)
+    d_out = d_norm.reshape(-1, cfg.horizon).astype(params.dtype, copy=False)
+    for name, flat, act in branches:
+        if act is None:
+            linear_backward(d_out, flat, params, grads, name, input_grad=False)
+        else:
+            mlp_backward(d_out, flat, act, params, grads, name, input_grad=False)
+    return grads

@@ -166,11 +166,6 @@ def standardize(frame: SeriesFrame,
     return SeriesFrame(normalized, frame.timestamps, frame.channel_names), stats
 
 
-def unstandardize(frame: SeriesFrame, stats: NormStats) -> SeriesFrame:
-    values = (frame.values * stats.std + stats.mean).astype(frame.values.dtype)
-    return SeriesFrame(values, frame.timestamps, frame.channel_names)
-
-
 def chronological_split(frame: SeriesFrame,
                         spec: SplitSpec) -> tuple[SeriesFrame, SeriesFrame, SeriesFrame]:
     """Split in time order. Val and test reach back by the lookback so their

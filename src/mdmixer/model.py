@@ -1,4 +1,5 @@
-"""Forecaster parameters and forward pass.
+"""Forecaster parameters, its stages with their reverse passes, and the
+checkpoint format.
 
 The network runs per lookback window: instance normalization, a
 trend/seasonal split, patch embedding per branch, parallel prediction
@@ -6,7 +7,9 @@ heads at increasing output lengths, coarse-to-fine iterative mixing, a
 channel-adaptive gating network, linear-interpolation upsampling and a
 residual weighted fusion, with the instance scale restored at the end.
 
-Everything is plain numpy; gradients live in ``training``.
+Everything is plain numpy. Each stage's hand-derived reverse sits next to
+its forward and is built from the same ``linear``/``mlp`` ops the
+baselines use; ``training`` supplies the loss gradients.
 """
 
 from __future__ import annotations
@@ -91,30 +94,6 @@ class ForecastOutput:
     stats: InstanceStats
 
 
-@dataclass
-class ForwardContext:
-    """Intermediates retained for the reverse pass."""
-
-    stats: InstanceStats
-    patches_s: np.ndarray        # (B, C, N, P)
-    patches_t: np.ndarray
-    u_s: np.ndarray              # (B, C, N*D) flattened embeddings
-    u_t: np.ndarray
-    z_s: list[np.ndarray]        # head outputs, seasonal (B, C, G_i)
-    z_t: list[np.ndarray]
-    trend_pre: list[np.ndarray]  # trend fc1 pre-activations (B, C, hidden)
-    trend_act: list[np.ndarray]
-    y_s: list[np.ndarray]        # mixed outputs per branch (B, C, G_i)
-    y_t: list[np.ndarray]
-    y_sum: list[np.ndarray]      # per-granularity forecasts, normalized scale
-    upsampled_norm: list[np.ndarray]   # (B, C, F)
-    gate_in: np.ndarray | None   # (B, 2C)
-    gate_pre: np.ndarray | None  # (B, hidden)
-    gate_act: np.ndarray | None
-    gate_weights: np.ndarray     # (B, H, C)
-    schedule: list[int]
-
-
 def granularity_schedule(horizon: int, heads: int) -> list[int]:
     """Output lengths of the parallel heads: multiples of F/H up to F."""
     if heads < 1:
@@ -192,49 +171,80 @@ def check_params_match(params: ParamSet, cfg: ModelConfig | object,
 
 
 # ---------------------------------------------------------------------------
-# forward-pass building blocks
+# stages: each forward next to its reverse. A reverse adds the gradients of
+# the stage's own tensors into ``grads`` and returns the gradient at its
+# input; stages whose input is a constant return nothing.
+
+
+def _affine(tensors, name: str) -> tuple[np.ndarray, np.ndarray]:
+    return tensors[f"{name}.weight"], tensors[f"{name}.bias"]
+
+
+def linear(x: np.ndarray, weight: np.ndarray, bias: np.ndarray,
+           residual: np.ndarray | None = None) -> np.ndarray:
+    """``x @ weight + bias`` over the last axis as one matmul (weights shared
+    across leading axes); with ``residual``: ``(residual + x @ weight) + bias``."""
+    out = x.reshape(-1, x.shape[-1]) @ weight
+    if residual is not None:
+        out = residual.reshape(out.shape) + out
+    out += bias
+    return out.reshape(*x.shape[:-1], out.shape[-1])
+
+
+def linear_backward(dy: np.ndarray, x: np.ndarray, params: ParamSet,
+                    grads: ParamSet, name: str, input_grad: bool = True):
+    """Reverse of ``linear`` with the tensors ``name.weight``/``name.bias``:
+    adds their gradients and returns the gradient at ``x`` (None when
+    ``input_grad`` is off because ``x`` is a constant)."""
+    dy_flat = dy.reshape(-1, dy.shape[-1])
+    grads[f"{name}.weight"] += x.reshape(-1, x.shape[-1]).T @ dy_flat
+    grads[f"{name}.bias"] += dy_flat.sum(axis=0)
+    if not input_grad:
+        return None
+    return (dy_flat @ params[f"{name}.weight"].T).reshape(x.shape)
+
+
+def mlp(x: np.ndarray, params: ParamSet, name: str,
+        residual: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """``name.fc1`` -> ReLU -> ``name.fc2`` over the last axis, ``residual``
+    added as in ``linear``; returns the output and the hidden activation
+    the reverse needs."""
+    act = np.maximum(linear(x, *_affine(params, f"{name}.fc1")), 0)
+    return linear(act, *_affine(params, f"{name}.fc2"), residual), act
+
+
+def mlp_backward(dy: np.ndarray, x: np.ndarray, act: np.ndarray,
+                 params: ParamSet, grads: ParamSet, name: str,
+                 input_grad: bool = True):
+    d_act = linear_backward(dy, act, params, grads, f"{name}.fc2")
+    # act > 0 exactly where the pre-activation is > 0
+    return linear_backward(d_act * (act > 0), x, params, grads, f"{name}.fc1",
+                           input_grad)
 
 
 def embed(patches: np.ndarray, weight: np.ndarray, bias: np.ndarray,
           pos: np.ndarray) -> np.ndarray:
     """Project each length-P patch to the embedding space and add the
     positional encoding (broadcast over channels in shared mode)."""
-    b, c, n, p = patches.shape
-    out = patches.reshape(-1, p) @ weight + bias
-    return out.reshape(b, c, n, -1) + pos
+    return linear(patches, weight, bias) + pos
+
+
+def embed_backward(d_xd: np.ndarray, patches: np.ndarray, params: ParamSet,
+                   grads: ParamSet, branch: str):
+    """Parameter gradients only: the patches are constants."""
+    pos_grad = grads[f"pos_{branch}"]
+    # sum over the leading axes the positional encoding was broadcast along
+    pos_grad += d_xd.sum(axis=tuple(range(d_xd.ndim - pos_grad.ndim)))
+    linear_backward(d_xd, patches, params, grads, f"embed_{branch}",
+                    input_grad=False)
 
 
 def mpp_seasonal(u: np.ndarray, params: ParamSet,
                  schedule: list[int]) -> list[np.ndarray]:
     """One direct linear map per head, flattened embeddings -> length G_i.
     Weights are shared across channels."""
-    b, c, nd = u.shape
-    flat = u.reshape(b * c, nd)
-    outs = []
-    for i, g in enumerate(schedule, start=1):
-        z = flat @ params[f"season_head_{i}.weight"] + params[f"season_head_{i}.bias"]
-        outs.append(z.reshape(b, c, g))
-    return outs
-
-
-def mpp_trend(u: np.ndarray, params: ParamSet,
-              schedule: list[int]) -> list[np.ndarray]:
-    """Two-layer per-head MLP (ReLU hidden) for the trend branch."""
-    return _mpp_trend_ctx(u, params, schedule)[0]
-
-
-def _mpp_trend_ctx(u, params, schedule):
-    b, c, nd = u.shape
-    flat = u.reshape(b * c, nd)
-    outs, pres, acts = [], [], []
-    for i, g in enumerate(schedule, start=1):
-        pre = flat @ params[f"trend_head_{i}.fc1.weight"] + params[f"trend_head_{i}.fc1.bias"]
-        act = np.maximum(pre, 0)
-        z = act @ params[f"trend_head_{i}.fc2.weight"] + params[f"trend_head_{i}.fc2.bias"]
-        outs.append(z.reshape(b, c, g))
-        pres.append(pre.reshape(b, c, -1))
-        acts.append(act.reshape(b, c, -1))
-    return outs, pres, acts
+    return [linear(u, *_affine(params, f"season_head_{i}"))
+            for i in range(1, len(schedule) + 1)]
 
 
 def mim(z_list: list[np.ndarray],
@@ -252,26 +262,45 @@ def mim(z_list: list[np.ndarray],
     return mixed
 
 
-def amwg_weights(xd_s: np.ndarray, xd_t: np.ndarray, params: ParamSet,
-                 heads: int) -> np.ndarray:
+def mim_backward(d_mixed: list[np.ndarray], mixed: list[np.ndarray],
+                 params: ParamSet, grads: ParamSet, branch: str) -> list[np.ndarray]:
+    """Reverse of ``mim`` through the ``mixer_{branch}_i`` chain; returns
+    the gradient at each head's raw output."""
+    d_z = [d.copy() for d in d_mixed]
+    for i in range(len(d_z), 1, -1):
+        d_z[i - 2] += linear_backward(d_z[i - 1], mixed[i - 2], params, grads,
+                                      f"mixer_{branch}_{i}")
+    return d_z
+
+
+def amwg(xd_s: np.ndarray, xd_t: np.ndarray, params: ParamSet, heads: int):
     """Channel-adaptive head weights: pool each branch's embeddings to one
-    scalar per channel, run the two-layer gate, softmax over heads."""
-    return _amwg_ctx(xd_s, xd_t, params, heads)[0]
-
-
-def _amwg_ctx(xd_s, xd_t, params, heads):
+    scalar per channel, run the two-layer gate, softmax over heads.
+    Returns the weights (B x H x C) and what the reverse needs."""
     b, c = xd_s.shape[0], xd_s.shape[1]
-    pooled_s = xd_s.mean(axis=(2, 3))                       # (B, C)
-    pooled_t = xd_t.mean(axis=(2, 3))
-    gate_in = np.concatenate([pooled_s, pooled_t], axis=1)  # (B, 2C)
-    pre = gate_in @ params["gate.fc1.weight"] + params["gate.fc1.bias"]
-    act = np.maximum(pre, 0)
-    logits = act @ params["gate.fc2.weight"] + params["gate.fc2.bias"]
+    gate_in = np.concatenate([xd_s.mean(axis=(2, 3)), xd_t.mean(axis=(2, 3))],
+                             axis=1)                        # (B, 2C)
+    logits, act = mlp(gate_in, params, "gate")
     logits = logits.reshape(b, heads, c)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    expd = np.exp(shifted)
+    expd = np.exp(logits - logits.max(axis=1, keepdims=True))
     weights = expd / expd.sum(axis=1, keepdims=True)        # simplex over heads
-    return weights, gate_in, pre, act
+    return weights, (gate_in, act, weights, xd_s.shape[2] * xd_s.shape[3])
+
+
+def amwg_backward(d_fused: np.ndarray, upsampled: list[np.ndarray], saved,
+                  params: ParamSet, grads: ParamSet) -> tuple[np.ndarray, np.ndarray]:
+    """Reverse of ``amwg``, from the gradient at the fused output; returns
+    its gradient at each branch's embeddings as (B x C x 1 x 1), constant
+    over the pooled axes."""
+    gate_in, act, weights, pooled = saved
+    b, heads, c = weights.shape
+    # fuse adds weights[:, i] * upsampled[i]
+    d_weights = np.stack([(d_fused * y).sum(axis=2) for y in upsampled], axis=1)
+    # softmax over the head axis
+    inner = (d_weights * weights).sum(axis=1, keepdims=True)
+    d_logits = (weights * (d_weights - inner)).reshape(b, heads * c)
+    d_in = mlp_backward(d_logits, gate_in, act, params, grads, "gate") / pooled
+    return d_in[:, :c, None, None], d_in[:, c:, None, None]
 
 
 @lru_cache(maxsize=128)
@@ -308,6 +337,11 @@ def upsample(y: np.ndarray, target_len: int) -> np.ndarray:
     return y @ mat
 
 
+def upsample_backward(d_up: np.ndarray, source_len: int) -> np.ndarray:
+    mat = _interp_matrix(source_len, d_up.shape[-1]).astype(d_up.dtype)
+    return d_up @ mat.T
+
+
 def fuse(upsampled: list[np.ndarray], weights: np.ndarray) -> np.ndarray:
     """Weighted sum of the upsampled heads plus their plain average as a
     residual. ``weights`` is (B x H x C), broadcast over the output axis."""
@@ -324,8 +358,16 @@ def fuse(upsampled: list[np.ndarray], weights: np.ndarray) -> np.ndarray:
     return out
 
 
+def fuse_backward(d_fused: np.ndarray, weights: np.ndarray) -> list[np.ndarray]:
+    """Reverse of ``fuse`` at each upsampled head (the gradient at the
+    weights belongs to the gate's reverse)."""
+    heads = weights.shape[1]
+    return [(weights[:, i, :][:, :, None] + 1.0 / heads) * d_fused
+            for i in range(heads)]
+
+
 # ---------------------------------------------------------------------------
-# full forward pass
+# full forward and reverse pass
 
 
 def forward(x: np.ndarray, params: ParamSet, cfg: ModelConfig) -> ForecastOutput:
@@ -334,7 +376,8 @@ def forward(x: np.ndarray, params: ParamSet, cfg: ModelConfig) -> ForecastOutput
 
 
 def forward_with_context(x: np.ndarray, params: ParamSet,
-                         cfg: ModelConfig) -> tuple[ForecastOutput, ForwardContext]:
+                         cfg: ModelConfig) -> tuple[ForecastOutput, tuple]:
+    """``forward`` plus the intermediates ``model_backward`` reads."""
     if x.ndim != 3:
         raise ValueError(f"forward/input: expected 3-D (B, T, C), got shape {x.shape}")
     if x.shape[1] != cfg.lookback or x.shape[2] != cfg.channels:
@@ -343,66 +386,80 @@ def forward_with_context(x: np.ndarray, params: ParamSet,
     check_params_match(params, cfg)
     dtype = params.dtype
     x = np.ascontiguousarray(x, dtype=dtype)
-    b = x.shape[0]
+    b, c = x.shape[0], cfg.channels
     heads = cfg.num_heads
     schedule = granularity_schedule(cfg.horizon, heads)
 
     x_norm, stats = instance_normalize(x)
     parts = decompose(x_norm, cfg.kernel)
-    patches_s = patch(parts.seasonal, cfg.patch_len, cfg.stride).patches
-    patches_t = patch(parts.trend, cfg.patch_len, cfg.stride).patches
-
-    xd_s = embed(patches_s, params["embed_s.weight"], params["embed_s.bias"],
-                 params["pos_s"])
-    xd_t = embed(patches_t, params["embed_t.weight"], params["embed_t.bias"],
-                 params["pos_t"])
-    u_s = xd_s.reshape(b, cfg.channels, -1)
-    u_t = xd_t.reshape(b, cfg.channels, -1)
+    patches = [patch(part, cfg.patch_len, cfg.stride).patches
+               for part in (parts.seasonal, parts.trend)]
+    xd_s, xd_t = (embed(p, *_affine(params, f"embed_{br}"), params[f"pos_{br}"])
+                  for p, br in zip(patches, "st"))
+    u_s = xd_s.reshape(b, c, -1)
+    u_t = xd_t.reshape(b, c, -1)
 
     z_s = mpp_seasonal(u_s, params, schedule)
-    z_t, trend_pre, trend_act = _mpp_trend_ctx(u_t, params, schedule)
-
-    if cfg.mim_enabled:
-        mixers_s = [(params[f"mixer_s_{i}.weight"], params[f"mixer_s_{i}.bias"])
-                    for i in range(2, heads + 1)]
-        mixers_t = [(params[f"mixer_t_{i}.weight"], params[f"mixer_t_{i}.bias"])
-                    for i in range(2, heads + 1)]
-        y_s = mim(z_s, mixers_s)
-        y_t = mim(z_t, mixers_t)
-    else:
-        y_s, y_t = list(z_s), list(z_t)
+    z_t, trend_acts = zip(*(mlp(u_t, params, f"trend_head_{i}")
+                            for i in range(1, heads + 1)))
+    y_s, y_t = (mim(z, [_affine(params, f"mixer_{br}_{i}")
+                        for i in range(2, heads + 1)] if cfg.mim_enabled else None)
+                for z, br in ((z_s, "s"), (z_t, "t")))
 
     y_sum = [a + bb for a, bb in zip(y_s, y_t)]
-    upsampled_norm = [upsample(y, cfg.horizon) for y in y_sum]
-
+    upsampled = [upsample(y, cfg.horizon) for y in y_sum]
+    # without the gate the fusion runs with zero weights: the residual
+    # mean alone, which is what uniform reported weights describe
+    weights = np.zeros((b, heads, c), dtype=dtype)
+    gate_saved = None
     if cfg.amwg_enabled:
-        weights, gate_in, gate_pre, gate_act = _amwg_ctx(xd_s, xd_t, params, heads)
-        fused = fuse(upsampled_norm, weights)
-    else:
-        weights = np.full((b, heads, cfg.channels), 1.0 / heads, dtype=dtype)
-        gate_in = gate_pre = gate_act = None
-        fused = upsampled_norm[0].copy()
-        for y in upsampled_norm[1:]:
-            fused += y
-        fused /= heads
+        weights, gate_saved = amwg(xd_s, xd_t, params, heads)
+    fused = fuse(upsampled, weights)
 
-    final = instance_denormalize(fused.transpose(0, 2, 1), stats)
-    per_granularity = [instance_denormalize(y.transpose(0, 2, 1), stats)
-                       for y in y_sum]
-    upsampled_out = [instance_denormalize(y.transpose(0, 2, 1), stats)
-                     for y in upsampled_norm]
+    def restore(y):
+        return instance_denormalize(y.transpose(0, 2, 1), stats)
 
-    output = ForecastOutput(final=final, per_granularity=per_granularity,
-                            upsampled=upsampled_out, gate_weights=weights,
-                            stats=stats)
-    ctx = ForwardContext(stats=stats, patches_s=patches_s, patches_t=patches_t,
-                         u_s=u_s, u_t=u_t, z_s=z_s, z_t=z_t,
-                         trend_pre=trend_pre, trend_act=trend_act,
-                         y_s=y_s, y_t=y_t, y_sum=y_sum,
-                         upsampled_norm=upsampled_norm, gate_in=gate_in,
-                         gate_pre=gate_pre, gate_act=gate_act,
-                         gate_weights=weights, schedule=schedule)
-    return output, ctx
+    output = ForecastOutput(
+        final=restore(fused), per_granularity=[restore(y) for y in y_sum],
+        upsampled=[restore(y) for y in upsampled],
+        gate_weights=weights if cfg.amwg_enabled
+        else np.full((b, heads, c), 1.0 / heads, dtype=dtype),
+        stats=stats)
+    saved = (stats, patches, u_s, u_t, trend_acts, y_s, y_t, upsampled,
+             weights, gate_saved)
+    return output, saved
+
+
+def model_backward(d_final: np.ndarray, d_granularity: list[np.ndarray],
+                   saved: tuple, params: ParamSet, cfg: ModelConfig) -> ParamSet:
+    """Gradients of every parameter tensor from the loss gradients at
+    ``final`` (B x F x C) and each ``per_granularity`` series (B x G_i x C).
+    Instance statistics depend only on the inputs, never on parameters, so
+    they enter the reverse pass as constants."""
+    (stats, patches, u_s, u_t, trend_acts, y_s, y_t, upsampled, weights,
+     gate_saved) = saved
+    grads = params.zeros_like()
+    std = stats.std[:, None, :]
+    d_fused = (d_final * std).transpose(0, 2, 1).astype(params.dtype, copy=False)
+    d_up = fuse_backward(d_fused, weights)
+    d_gate = (0.0, 0.0)
+    if gate_saved is not None:
+        d_gate = amwg_backward(d_fused, upsampled, gate_saved, params, grads)
+
+    # each per-granularity forecast is the sum of both branches; the
+    # alignment loss reaches it directly
+    d_y = [upsample_backward(d, y.shape[-1]) + (d_g * std).transpose(0, 2, 1)
+           for d, y, d_g in zip(d_up, y_s, d_granularity)]
+    d_z_s, d_z_t = (mim_backward(d_y, y, params, grads, br) if cfg.mim_enabled
+                    else d_y for y, br in ((y_s, "s"), (y_t, "t")))
+
+    d_u_s, d_u_t = np.zeros_like(u_s), np.zeros_like(u_t)
+    for i, (d_s, d_t, act) in enumerate(zip(d_z_s, d_z_t, trend_acts), start=1):
+        d_u_s += linear_backward(d_s, u_s, params, grads, f"season_head_{i}")
+        d_u_t += mlp_backward(d_t, u_t, act, params, grads, f"trend_head_{i}")
+    for br, d_u, p, d_g in zip("st", (d_u_s, d_u_t), patches, d_gate):
+        embed_backward(d_u.reshape(*p.shape[:3], -1) + d_g, p, params, grads, br)
+    return grads
 
 
 # ---------------------------------------------------------------------------
@@ -475,6 +532,13 @@ def _parse_manifest(path: Path):
             offset = int(offset_text)
         except ValueError:
             raise CheckpointError(f"{path}: malformed manifest line {line!r}") from None
+        if offset < 0:
+            raise CheckpointError(f"{path}: tensor {name!r} has negative offset {offset}")
+        if min(shape) <= 0:
+            raise CheckpointError(f"{path}: tensor {name!r} has a non-positive "
+                                  f"dimension in shape {shape}")
+        if any(name == listed for listed, _, _ in entries):
+            raise CheckpointError(f"{path}: tensor {name!r} is listed twice")
         entries.append((name, shape, offset))
     if not entries:
         raise CheckpointError(f"{path}: checkpoint lists no tensors")

@@ -1,11 +1,10 @@
-"""Losses, reverse-mode gradients, AdamW, the training loop and the
-finite-difference gradient checker.
+"""Losses, AdamW, the training loop and the finite-difference gradient
+checker.
 
-Gradients are derived by hand for every stage (fusion, softmax gate,
-interpolation, mixing, prediction heads, ReLU, embedding, pooling).
-Instance-normalization statistics depend only on the inputs, never on
-parameters, so they enter the reverse pass as constants. The L1
-subgradient at an exactly-zero residual is taken as 0.
+``backward`` runs a forward pass, computes the loss and its gradients
+once, and hands them to the reverse pass of the model or baseline
+(``model.model_backward``, ``baselines.baseline_backward``), where each
+stage's hand-derived gradient sits next to its forward.
 """
 
 from __future__ import annotations
@@ -18,13 +17,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import baseline_forward, baseline_forward_with_context, \
-    init_baseline_params
+from .baselines import baseline_backward, baseline_forward, \
+    baseline_forward_with_context, init_baseline_params
 from .config import BaselineConfig, ModelConfig, TrainSettings, config_echo
 from .data import WindowBatch
 from .evaluation import streaming_metrics
-from .model import ParamSet, _interp_matrix, forward, forward_with_context, \
-    granularity_schedule, init_params
+from .model import ParamSet, forward, forward_with_context, init_params, \
+    model_backward
 
 
 class TrainingDiverged(RuntimeError):
@@ -112,30 +111,36 @@ def alignment_targets(y_true: np.ndarray, schedule: list[int]) -> list[np.ndarra
     return targets
 
 
+def _loss(final: np.ndarray, per_granularity: list[np.ndarray],
+          y_true: np.ndarray, cfg: ModelConfig | BaselineConfig):
+    """Loss breakdown and its gradients at ``final`` and each per-granularity
+    forecast: main L1 plus the alignment weight (0 with ``use_align_loss``
+    off) times the mean per-head L1 against pooled targets; baselines have
+    no heads. The L1 subgradient at an exactly-zero residual is 0."""
+    if final.shape != y_true.shape:
+        raise ValueError(f"loss shapes differ: {final.shape} vs {y_true.shape}")
+    targets = alignment_targets(y_true, [y.shape[1] for y in per_granularity])
+    res = final - y_true
+    align_res = [pred - tgt for pred, tgt in zip(per_granularity, targets)]
+    main = float(np.abs(res).mean(dtype=np.float64))
+    align = [float(np.abs(r).mean(dtype=np.float64)) for r in align_res]
+    weight = cfg.align_weight if align and cfg.use_align_loss else 0.0
+    total = main + weight * (sum(align) / len(align)) if align else main
+    d_final = np.sign(res) / res.size
+    d_granularity = [np.sign(r) * (weight / (len(align) * r.size))
+                     for r in align_res]
+    return LossBreakdown(main=main, align_per_head=align, total=total), \
+        d_final, d_granularity
+
+
 def total_loss(output, y_true: np.ndarray, cfg: ModelConfig) -> LossBreakdown:
     """Main L1 loss plus the align terms of every head (per-head forecasts
     against pooled targets, both in the input window's scale)."""
-    main = main_loss(output.final, y_true)
-    schedule = granularity_schedule(cfg.horizon, cfg.num_heads)
-    targets = alignment_targets(y_true, schedule)
-    align = [main_loss(pred, tgt)
-             for pred, tgt in zip(output.per_granularity, targets)]
-    total = main
-    if cfg.use_align_loss:
-        total = main + cfg.align_weight * (sum(align) / len(align))
-    return LossBreakdown(main=main, align_per_head=align, total=total)
+    return _loss(output.final, output.per_granularity, y_true, cfg)[0]
 
 
 # ---------------------------------------------------------------------------
 # reverse pass
-
-
-def backward(x: np.ndarray, y_true: np.ndarray, params: ParamSet,
-             cfg: ModelConfig | BaselineConfig) -> tuple[ParamSet, LossBreakdown]:
-    """Exact gradients of the total loss w.r.t. every parameter tensor."""
-    if isinstance(cfg, BaselineConfig):
-        return _baseline_backward(x, y_true, params, cfg)
-    return _model_backward(x, y_true, params, cfg)
 
 
 def _check_finite(breakdown: LossBreakdown):
@@ -146,179 +151,22 @@ def _check_finite(breakdown: LossBreakdown):
             raise FloatingPointError(f"non-finite alignment loss, head {i}")
 
 
-def _model_backward(x, y_true, params, cfg: ModelConfig):
-    output, ctx = forward_with_context(x, params, cfg)
-    dtype = params.dtype
-    y_true = np.ascontiguousarray(y_true, dtype=dtype)
-    if output.final.shape != y_true.shape:
-        raise ValueError(f"target shape {y_true.shape} does not match "
-                         f"forecast shape {output.final.shape}")
-
-    heads = cfg.num_heads
-    channels = cfg.channels
-    schedule = ctx.schedule
-    targets = alignment_targets(y_true, schedule)
-
-    main_res = output.final - y_true
-    main = float(np.abs(main_res).mean(dtype=np.float64))
-    align_res = [pred - tgt for pred, tgt in zip(output.per_granularity, targets)]
-    align = [float(np.abs(r).mean(dtype=np.float64)) for r in align_res]
-    total = main
-    if cfg.use_align_loss:
-        total = main + cfg.align_weight * (sum(align) / len(align))
-    breakdown = LossBreakdown(main=main, align_per_head=align, total=total)
+def backward(x: np.ndarray, y_true: np.ndarray, params: ParamSet,
+             cfg: ModelConfig | BaselineConfig) -> tuple[ParamSet, LossBreakdown]:
+    """Exact gradients of the total loss w.r.t. every parameter tensor:
+    the forward pass, the loss with its gradients, then the stages'
+    reverse passes."""
+    y_true = np.ascontiguousarray(y_true, dtype=params.dtype)
+    if isinstance(cfg, BaselineConfig):
+        forecast, saved = baseline_forward_with_context(x, params, cfg)
+        breakdown, d_final, _ = _loss(forecast, [], y_true, cfg)
+        _check_finite(breakdown)
+        return baseline_backward(d_final, saved, params, cfg), breakdown
+    output, saved = forward_with_context(x, params, cfg)
+    breakdown, d_final, d_granularity = _loss(
+        output.final, output.per_granularity, y_true, cfg)
     _check_finite(breakdown)
-
-    grads = params.zeros_like()
-    std = ctx.stats.std  # (B, C); constants w.r.t. parameters
-
-    # d total / d final, through the denormalization and into (B, C, F)
-    d_final = np.sign(main_res) / main_res.size
-    d_fused = (d_final * std[:, None, :]).transpose(0, 2, 1).astype(dtype, copy=False)
-
-    # fusion: weighted heads + 1/H residual mean
-    if cfg.amwg_enabled:
-        weights = ctx.gate_weights                                   # (B, H, C)
-        d_up = [(weights[:, i, :][:, :, None] + 1.0 / heads) * d_fused
-                for i in range(heads)]
-        d_weights = np.empty_like(weights)
-        for i in range(heads):
-            d_weights[:, i, :] = (d_fused * ctx.upsampled_norm[i]).sum(axis=2)
-        # softmax over the head axis
-        inner = (d_weights * weights).sum(axis=1, keepdims=True)
-        d_logits = (weights * (d_weights - inner)).reshape(-1, heads * channels)
-        grads["gate.fc2.weight"] += ctx.gate_act.T @ d_logits
-        grads["gate.fc2.bias"] += d_logits.sum(axis=0)
-        d_act = d_logits @ params["gate.fc2.weight"].T
-        d_pre = d_act * (ctx.gate_pre > 0)
-        grads["gate.fc1.weight"] += ctx.gate_in.T @ d_pre
-        grads["gate.fc1.bias"] += d_pre.sum(axis=0)
-        d_gate_in = d_pre @ params["gate.fc1.weight"].T              # (B, 2C)
-        d_pool_s = d_gate_in[:, :channels]
-        d_pool_t = d_gate_in[:, channels:]
-    else:
-        shared = d_fused * (1.0 / heads)
-        d_up = [shared] * heads  # read-only below
-        d_pool_s = d_pool_t = None
-
-    # upsampling (transposed interpolation) + the alignment-loss path
-    align_active = cfg.use_align_loss and cfg.align_weight != 0.0
-    d_y = []
-    for i, g in enumerate(schedule):
-        mat = _interp_matrix(g, cfg.horizon).astype(dtype)
-        d = d_up[i] @ mat.T                                          # (B, C, G_i)
-        if align_active:
-            scale = cfg.align_weight / (heads * align_res[i].size)
-            d_gran = np.sign(align_res[i]) * scale                   # (B, G_i, C)
-            d += (d_gran * std[:, None, :]).transpose(0, 2, 1)
-        d_y.append(d)
-
-    # the per-granularity forecast is the sum of both branches
-    d_z_s = _mim_backward(d_y, ctx.y_s, params, grads, "s", cfg)
-    d_z_t = _mim_backward(d_y, ctx.y_t, params, grads, "t", cfg)
-
-    batch = x.shape[0]
-    nd = ctx.u_s.shape[2]
-    u_s_flat = ctx.u_s.reshape(-1, nd)
-    u_t_flat = ctx.u_t.reshape(-1, nd)
-    d_u_s = np.zeros_like(u_s_flat)
-    d_u_t = np.zeros_like(u_t_flat)
-
-    for i, g in enumerate(schedule, start=1):
-        d_flat = d_z_s[i - 1].reshape(-1, g)
-        grads[f"season_head_{i}.weight"] += u_s_flat.T @ d_flat
-        grads[f"season_head_{i}.bias"] += d_flat.sum(axis=0)
-        d_u_s += d_flat @ params[f"season_head_{i}.weight"].T
-
-    hid = cfg.hidden
-    for i, g in enumerate(schedule, start=1):
-        d_flat = d_z_t[i - 1].reshape(-1, g)
-        act_flat = ctx.trend_act[i - 1].reshape(-1, hid)
-        grads[f"trend_head_{i}.fc2.weight"] += act_flat.T @ d_flat
-        grads[f"trend_head_{i}.fc2.bias"] += d_flat.sum(axis=0)
-        d_act = d_flat @ params[f"trend_head_{i}.fc2.weight"].T
-        d_pre = d_act * (ctx.trend_pre[i - 1].reshape(-1, hid) > 0)
-        grads[f"trend_head_{i}.fc1.weight"] += u_t_flat.T @ d_pre
-        grads[f"trend_head_{i}.fc1.bias"] += d_pre.sum(axis=0)
-        d_u_t += d_pre @ params[f"trend_head_{i}.fc1.weight"].T
-
-    _embed_backward(d_u_s, d_pool_s, ctx.patches_s, params, grads, "s",
-                    batch, channels, cfg)
-    _embed_backward(d_u_t, d_pool_t, ctx.patches_t, params, grads, "t",
-                    batch, channels, cfg)
-    return grads, breakdown
-
-
-def _mim_backward(d_y, y_branch, params, grads, branch, cfg: ModelConfig):
-    """Distribute per-granularity gradients through the coarse-to-fine
-    mixing chain; returns the gradient at each head's raw output."""
-    heads = len(d_y)
-    acc = [d.copy() for d in d_y]
-    if cfg.mim_enabled and heads > 1:
-        for i in range(heads, 1, -1):
-            d_cur = acc[i - 1]
-            g_cur = d_cur.shape[2]
-            prev = y_branch[i - 2]
-            d_flat = d_cur.reshape(-1, g_cur)
-            prev_flat = prev.reshape(-1, prev.shape[2])
-            grads[f"mixer_{branch}_{i}.weight"] += prev_flat.T @ d_flat
-            grads[f"mixer_{branch}_{i}.bias"] += d_flat.sum(axis=0)
-            acc[i - 2] += (d_flat @ params[f"mixer_{branch}_{i}.weight"].T
-                           ).reshape(prev.shape)
-    return acc
-
-
-def _embed_backward(d_u_flat, d_pool, patches, params, grads, branch,
-                    batch, channels, cfg: ModelConfig):
-    n, d = cfg.num_patches, cfg.embed_dim
-    d_xd = d_u_flat.reshape(batch, channels, n, d)
-    if d_pool is not None:
-        # the gate pooled this branch's embeddings over (N, D)
-        d_xd = d_xd + d_pool[:, :, None, None] / (n * d)
-    if cfg.pos_encoding == "shared":
-        grads[f"pos_{branch}"] += d_xd.sum(axis=(0, 1))
-    else:
-        grads[f"pos_{branch}"] += d_xd.sum(axis=0)
-    p_flat = patches.reshape(-1, cfg.patch_len)
-    d_flat = d_xd.reshape(-1, d)
-    grads[f"embed_{branch}.weight"] += p_flat.T @ d_flat
-    grads[f"embed_{branch}.bias"] += d_flat.sum(axis=0)
-
-
-def _baseline_backward(x, y_true, params, cfg: BaselineConfig):
-    forecast, ctx = baseline_forward_with_context(x, params, cfg)
-    dtype = params.dtype
-    y_true = np.ascontiguousarray(y_true, dtype=dtype)
-    if forecast.shape != y_true.shape:
-        raise ValueError(f"target shape {y_true.shape} does not match "
-                         f"forecast shape {forecast.shape}")
-    res = forecast - y_true
-    main = float(np.abs(res).mean(dtype=np.float64))
-    breakdown = LossBreakdown(main=main, align_per_head=[], total=main)
-    _check_finite(breakdown)
-
-    grads = params.zeros_like()
-    d_fore = np.sign(res) / res.size
-    d_norm = (d_fore * ctx.stats.std[:, None, :]).transpose(0, 2, 1)
-    d_out = d_norm.reshape(-1, cfg.horizon).astype(dtype, copy=False)
-
-    if cfg.kind == "linear_direct":
-        grads["direct.weight"] += ctx.direct_in.T @ d_out
-        grads["direct.bias"] += d_out.sum(axis=0)
-    else:
-        grads["seasonal.weight"] += ctx.seasonal_in.T @ d_out
-        grads["seasonal.bias"] += d_out.sum(axis=0)
-        if cfg.kind == "decomp_linear":
-            grads["trend.weight"] += ctx.trend_in.T @ d_out
-            grads["trend.bias"] += d_out.sum(axis=0)
-        else:
-            grads["trend.fc2.weight"] += ctx.trend_act.T @ d_out
-            grads["trend.fc2.bias"] += d_out.sum(axis=0)
-            d_act = d_out @ params["trend.fc2.weight"].T
-            d_pre = d_act * (ctx.trend_pre > 0)
-            grads["trend.fc1.weight"] += ctx.trend_in.T @ d_pre
-            grads["trend.fc1.bias"] += d_pre.sum(axis=0)
-    return grads, breakdown
+    return model_backward(d_final, d_granularity, saved, params, cfg), breakdown
 
 
 # ---------------------------------------------------------------------------

@@ -121,6 +121,20 @@ def test_checkpoint_config_mismatch_exits_2(tmp_path, capsys):
     assert "embed_s.weight" in capsys.readouterr().err
 
 
+def test_malformed_checkpoint_manifest_exits_2(tmp_path, capsys):
+    cfg_path, out = write_config(tmp_path)
+    assert main(["train", "--config", str(cfg_path), "--seed", "1"]) == 0
+    ckpt = out / "seed1.ckpt"
+    data = ckpt.read_bytes()
+    record = b"\nembed_s.weight 4x3 0\n"
+    assert record in data
+    ckpt.write_bytes(data.replace(record, b"\nembed_s.weight 4x3 -4\n", 1))
+    code = main(["eval", "--config", str(cfg_path), "--checkpoint", str(ckpt),
+                 "--out", str(tmp_path / "e")])
+    assert code == 2
+    assert "'embed_s.weight' has negative offset" in capsys.readouterr().err
+
+
 def test_gradcheck_command(tmp_path, capsys):
     cfg = tmp_path / "grad.cfg"
     cfg.write_text("data.channels = 2\nmodel.lookback = 8\nmodel.horizon = 4\n"

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from mdmixer.config import ConfigError, ModelConfig
-from mdmixer.model import CheckpointError, ParamSet, amwg_weights, embed, \
-    forward, forward_with_context, fuse, granularity_schedule, init_params, \
-    load_checkpoint, mim, mpp_seasonal, mpp_trend, param_layout, \
-    save_checkpoint, upsample
+from mdmixer.model import CheckpointError, ParamSet, amwg, embed, forward, \
+    fuse, granularity_schedule, init_params, load_checkpoint, mim, mlp, \
+    mpp_seasonal, param_layout, save_checkpoint, upsample
 
 from conftest import TINY, rand_batch
 
@@ -99,6 +98,12 @@ def test_embed_shape():
     assert out.shape == (2, 2, 4, 3)
 
 
+def trend_heads(u, params, schedule):
+    """The trend branch's heads: one MLP per granularity."""
+    return [mlp(u, params, f"trend_head_{i}")[0]
+            for i in range(1, len(schedule) + 1)]
+
+
 def test_mpp_shapes_and_zero(tiny_cfg):
     params = zeroed_offsets(init_params(tiny_cfg, 0))
     schedule = granularity_schedule(tiny_cfg.horizon, tiny_cfg.num_heads)
@@ -106,7 +111,7 @@ def test_mpp_shapes_and_zero(tiny_cfg):
     for z, g in zip(mpp_seasonal(u, params, schedule), schedule):
         assert z.shape == (3, 2, g)
         assert not z.any()
-    for z, g in zip(mpp_trend(u, params, schedule), schedule):
+    for z, g in zip(trend_heads(u, params, schedule), schedule):
         assert z.shape == (3, 2, g)
         assert not z.any()
 
@@ -117,7 +122,7 @@ def test_mpp_channel_equivariance(tiny_cfg):
     schedule = granularity_schedule(tiny_cfg.horizon, tiny_cfg.num_heads)
     u = rng.normal(size=(4, 2, tiny_cfg.num_patches * tiny_cfg.embed_dim))
     perm = [1, 0]
-    for op in (mpp_seasonal, mpp_trend):
+    for op in (mpp_seasonal, trend_heads):
         outs = op(u, params, schedule)
         outs_perm = op(u[:, perm], params, schedule)
         for a, b in zip(outs, outs_perm):
@@ -131,7 +136,7 @@ def test_mpp_trend_relu_kill(tiny_cfg):
         params[f"trend_head_{i}.fc2.bias"][:] = 0.75
     rng = np.random.default_rng(4)
     u = rng.normal(size=(2, 2, tiny_cfg.num_patches * tiny_cfg.embed_dim))
-    for z in mpp_trend(u, params, granularity_schedule(4, 2)):
+    for z in trend_heads(u, params, granularity_schedule(4, 2)):
         np.testing.assert_allclose(z, 0.75)
 
 
@@ -163,7 +168,7 @@ def test_amwg_uniform_for_constant_logits(tiny_cfg):
     params["gate.fc2.weight"][:] = 0.0
     rng = np.random.default_rng(6)
     xd = rng.normal(size=(3, 2, tiny_cfg.num_patches, tiny_cfg.embed_dim))
-    weights = amwg_weights(xd, xd, params, heads=2)
+    weights, _ = amwg(xd, xd, params, heads=2)
     np.testing.assert_allclose(weights, 0.5)
 
 
@@ -174,7 +179,7 @@ def test_amwg_softmax_hand_values(tiny_cfg):
     # bias layout is (H*C,) reshaped row-major to (H, C)
     params["gate.fc2.bias"][:] = [np.log(2.0), np.log(2.0), 0.0, 0.0]
     xd = np.zeros((1, 2, 4, 3), dtype=np.float32)
-    weights = amwg_weights(xd, xd, params, heads=2)
+    weights, _ = amwg(xd, xd, params, heads=2)
     np.testing.assert_allclose(weights[0, :, 0], [2 / 3, 1 / 3], atol=1e-6)
     np.testing.assert_allclose(weights[0, :, 1], [2 / 3, 1 / 3], atol=1e-6)
 
@@ -184,7 +189,7 @@ def test_amwg_simplex(tiny_cfg):
     params = init_params(tiny_cfg, 1)
     xd_s = rng.normal(size=(5, 2, 4, 3))
     xd_t = rng.normal(size=(5, 2, 4, 3))
-    weights = amwg_weights(xd_s, xd_t, params, heads=2)
+    weights, _ = amwg(xd_s, xd_t, params, heads=2)
     assert weights.shape == (5, 2, 2)
     assert weights.min() >= 0
     np.testing.assert_allclose(weights.sum(axis=1), 1.0, atol=1e-6)
@@ -310,10 +315,27 @@ def test_forward_deterministic(tiny_cfg):
 
 
 def test_forward_granularity_additivity(tiny_cfg):
+    # each per-granularity forecast is the sum of the seasonal and the trend
+    # branch: silencing one branch's heads and mixers leaves the other
+    # alone. Windows of +-1 in equal numbers have mean 0 and std 1 exactly,
+    # so the instance scale restores nothing and the sums are exact.
     rng = np.random.default_rng(18)
+    pattern = np.array([1.0] * 4 + [-1.0] * 4, dtype=np.float32)
+    x = np.stack([np.stack([rng.permutation(pattern) for _ in range(2)], axis=1)
+                  for _ in range(3)])
     params = init_params(tiny_cfg, 5)
-    _, ctx = forward_with_context(rand_batch(rng, 3, 8, 2), params, tiny_cfg)
-    for total, s, t in zip(ctx.y_sum, ctx.y_s, ctx.y_t):
+
+    def per_granularity(silenced):
+        part = params.copy()
+        for name in part.names():
+            if name.startswith(silenced):
+                part[name][:] = 0.0
+        return forward(x, part, tiny_cfg).per_granularity
+
+    full = per_granularity(())
+    seasonal = per_granularity(("trend_head_", "mixer_t_"))
+    trend = per_granularity(("season_head_", "mixer_s_"))
+    for total, s, t in zip(full, seasonal, trend):
         np.testing.assert_array_equal(total, s + t)
 
 
@@ -402,6 +424,23 @@ def test_checkpoint_rejects_garbage(tmp_path):
     path = tmp_path / "junk.ckpt"
     path.write_bytes(b"hello world\n")
     with pytest.raises(CheckpointError, match="magic"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("old, new, message", [
+    (b"\nembed_s.weight 4x3 0\n", b"\nembed_s.weight 4x3 -4\n", "negative offset"),
+    (b"\nembed_s.weight 4x3 0\n", b"\nembed_s.weight 0x3 0\n", "non-positive"),
+    (b"\nembed_s.weight 4x3 0\n", b"\nembed_s.weight 4x-3 0\n", "non-positive"),
+    (b"\nend\n", b"\nembed_s.weight 4x3 0\nend\n", "listed twice"),
+], ids=["negative_offset", "zero_dim", "negative_dim", "duplicate_name"])
+def test_checkpoint_rejects_malformed_manifest(tmp_path, tiny_cfg, old, new,
+                                               message):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, init_params(tiny_cfg, 0))
+    data = path.read_bytes()
+    assert old in data
+    path.write_bytes(data.replace(old, new, 1))
+    with pytest.raises(CheckpointError, match=f"'embed_s.weight'.*{message}"):
         load_checkpoint(path)
 
 

@@ -233,6 +233,8 @@ def test_gradcheck_alpha_variants(tiny_cfg):
     # kernel wider than the window (replicate padding dominates)
     dict(lookback=8, horizon=4, channels=2, patch_len=4, stride=2,
          embed_dim=3, heads=2, hidden=4, kernel=25),
+    # parallel prediction off: one head, no mixers, gate off
+    dict(TINY, use_mpp=False),
 ])
 def test_gradcheck_exotic_geometries(kw):
     assert gradcheck(ModelConfig(**kw), seed=0).passed
