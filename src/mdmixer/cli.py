@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -84,6 +85,7 @@ def cmd_train(args) -> int:
     run_cfg = load_config(args.config)
     if args.seed is not None:
         run_cfg.seeds = tuple(args.seed)
+        run_cfg.validate()
     out_dir = Path(args.out or run_cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     frame = _load_frame(run_cfg)  # fail fast on data problems
@@ -92,7 +94,8 @@ def cmd_train(args) -> int:
 
     rows: list[MetricRow] = []
     if args.parallel_seeds and len(run_cfg.seeds) > 1:
-        with ProcessPoolExecutor(max_workers=len(run_cfg.seeds)) as pool:
+        workers = min(len(run_cfg.seeds), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_train_one_seed, run_cfg, seed, str(out_dir))
                        for seed in run_cfg.seeds]
             rows = [f.result() for f in futures]
@@ -203,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train = sub.add_parser("train", help="train one checkpoint per seed")
     add_common(p_train)
     p_train.add_argument("--parallel-seeds", action="store_true",
-                         help="run seeds in parallel processes")
+                         help="run seeds in parallel processes, at most one per CPU")
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint on the test split")

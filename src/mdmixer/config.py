@@ -1,14 +1,25 @@
-"""Configuration objects and the flat key=value run-config format."""
+"""Configuration objects and the flat key=value run-config format.
+
+``KEYS`` is the one table that defines the format's keys; defaults live
+only on the dataclasses, and parsing and rendering are loops over it.
+"""
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 
 class ConfigError(ValueError):
     """Raised when a configuration value violates an invariant."""
+
+
+def _check_min(cfg, minimum, *names):
+    for name in names:
+        if getattr(cfg, name) < minimum:
+            raise ConfigError(f"{name} must be >= {minimum}, got {getattr(cfg, name)}")
 
 
 @dataclass(frozen=True)
@@ -40,17 +51,14 @@ class ModelConfig:
     pos_encoding: str = "shared"  # "shared" (N x D) or "per_channel" (C x N x D)
 
     def __post_init__(self):
-        for name in ("lookback", "horizon", "channels", "patch_len",
-                     "stride", "embed_dim", "heads", "hidden"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        _check_min(self, 1, "lookback", "horizon", "channels", "patch_len",
+                   "stride", "embed_dim", "heads", "hidden")
         if self.kernel < 1 or self.kernel % 2 == 0:
             raise ConfigError(f"kernel must be a positive odd integer, got {self.kernel}")
         if self.patch_len > self.lookback:
             raise ConfigError(
                 f"patch_len ({self.patch_len}) must not exceed lookback ({self.lookback})")
-        if self.align_weight < 0:
-            raise ConfigError(f"align_weight must be >= 0, got {self.align_weight}")
+        _check_min(self, 0, "align_weight")
         if self.horizon % self.num_heads != 0:
             raise ConfigError(
                 f"heads ({self.num_heads}) must divide horizon ({self.horizon}) "
@@ -95,9 +103,7 @@ class BaselineConfig:
         if self.kind not in BASELINE_KINDS:
             raise ConfigError(f"unknown baseline kind {self.kind!r}, "
                               f"expected one of {BASELINE_KINDS}")
-        for name in ("lookback", "horizon", "channels", "hidden"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        _check_min(self, 1, "lookback", "horizon", "channels", "hidden")
         if self.kernel < 1 or self.kernel % 2 == 0:
             raise ConfigError(f"kernel must be a positive odd integer, got {self.kernel}")
 
@@ -117,14 +123,9 @@ class TrainSettings:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lr < 0:
-            raise ConfigError(f"lr must be >= 0, got {self.lr}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.max_epochs < 1:
-            raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
-        if self.patience < 0:
-            raise ConfigError(f"patience must be >= 0, got {self.patience}")
+        _check_min(self, 0, "lr")
+        _check_min(self, 1, "batch_size", "max_epochs")
+        _check_min(self, 0, "patience")
 
 
 @dataclass(frozen=True)
@@ -143,49 +144,13 @@ class SynthChannel:
             raise ConfigError(f"synthetic channel noise must be >= 0, got {self.noise}")
 
 
-# Every key the run-config format accepts, with its parsed type.
-_BOOL = "bool"
-_INT = "int"
-_FLOAT = "float"
-_STR = "str"
-_KNOWN_KEYS = {
-    "data.path": _STR,
-    "data.name": _STR,
-    "data.channels": _INT,           # only for dataset-free configs (gradcheck)
-    "data.ratio_train": _FLOAT,
-    "data.ratio_val": _FLOAT,
-    "data.ratio_test": _FLOAT,
-    "data.synth_length": _INT,
-    "data.synth_channels": _STR,     # "period:amp:slope:noise, ..."
-    "data.synth_seed": _INT,
-    "model.kind": _STR,
-    "model.lookback": _INT,
-    "model.horizon": _INT,
-    "model.patch_len": _INT,
-    "model.stride": _INT,
-    "model.embed_dim": _INT,
-    "model.heads": _INT,
-    "model.hidden": _INT,
-    "model.kernel": _INT,
-    "model.align_weight": _FLOAT,
-    "model.use_mpp": _BOOL,
-    "model.use_mim": _BOOL,
-    "model.use_amwg": _BOOL,
-    "model.use_align_loss": _BOOL,
-    "model.pos_encoding": _STR,
-    "train.lr": _FLOAT,
-    "train.batch_size": _INT,
-    "train.max_epochs": _INT,
-    "train.patience": _INT,
-    "train.weight_decay": _FLOAT,
-    "seeds": _STR,
-    "out_dir": _STR,
-}
-
-
 @dataclass
 class RunConfig:
-    """Fully resolved experiment description (data + model + training)."""
+    """Fully resolved experiment description (data + model + training).
+
+    ``model`` holds ModelConfig's defaulted keyword arguments; its window
+    lengths are fields here, and channels is bound once the data is loaded.
+    """
 
     data_path: str | None = None
     dataset_name: str = ""
@@ -197,18 +162,9 @@ class RunConfig:
     model_kind: str = "mdmixer"
     lookback: int = 96
     horizon: int = 96
-    patch_len: int = 32
-    stride: int = 16
-    embed_dim: int = 64
-    heads: int = 8
-    hidden: int = 64
-    kernel: int = 25
-    align_weight: float = 0.01
-    use_mpp: bool = True
-    use_mim: bool = True
-    use_amwg: bool = True
-    use_align_loss: bool = True
-    pos_encoding: str = "shared"
+    model: dict = field(default_factory=lambda: {
+        f.name: f.default for f in dataclasses.fields(ModelConfig)
+        if f.default is not dataclasses.MISSING})
     train: TrainSettings = field(default_factory=TrainSettings)
     seeds: tuple[int, ...] = (1, 2, 3)
     out_dir: str = "runs/out"
@@ -227,6 +183,9 @@ class RunConfig:
                               f"got {self.ratios} (sum {total:g})")
         if not self.seeds:
             raise ConfigError("seeds must list at least one seed")
+        if len(set(self.seeds)) != len(self.seeds):
+            # each seed names its checkpoint and metrics row
+            raise ConfigError(f"seeds must be distinct, got {self.seeds}")
         # Resolving with a placeholder channel count runs the model-side checks
         # (head divisibility, patch geometry) before any data is touched.
         self.resolve_model(self.channels or 1)
@@ -234,25 +193,14 @@ class RunConfig:
     def resolve_model(self, channels: int) -> ModelConfig | BaselineConfig:
         """Bind the channel count (known once data is loaded) into a model config."""
         if self.model_kind == "mdmixer":
-            return ModelConfig(
-                lookback=self.lookback, horizon=self.horizon, channels=channels,
-                patch_len=self.patch_len, stride=self.stride,
-                embed_dim=self.embed_dim, heads=self.heads, hidden=self.hidden,
-                kernel=self.kernel, align_weight=self.align_weight,
-                use_mpp=self.use_mpp, use_mim=self.use_mim, use_amwg=self.use_amwg,
-                use_align_loss=self.use_align_loss, pos_encoding=self.pos_encoding)
-        return BaselineConfig(kind=self.model_kind, lookback=self.lookback,
-                              horizon=self.horizon, channels=channels,
-                              hidden=self.hidden, kernel=self.kernel)
+            return ModelConfig(self.lookback, self.horizon, channels, **self.model)
+        return BaselineConfig(self.model_kind, self.lookback, self.horizon, channels,
+                              hidden=self.model["hidden"], kernel=self.model["kernel"])
 
 
-def _parse_bool(raw: str, key: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("true", "1", "yes", "on"):
-        return True
-    if low in ("false", "0", "no", "off"):
-        return False
-    raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
+def _parse_bool(raw: str) -> bool:
+    # index() raises ValueError for any other word
+    return ("false", "0", "no", "off", "true", "1", "yes", "on").index(raw.lower()) >= 4
 
 
 def _parse_synth_channels(raw: str) -> tuple[SynthChannel, ...]:
@@ -266,19 +214,69 @@ def _parse_synth_channels(raw: str) -> tuple[SynthChannel, ...]:
             raise ConfigError(
                 f"data.synth_channels entry {part!r} must be period:amp:slope:noise")
         try:
-            period, amp, slope, noise = (float(f) for f in fields)
+            values = [float(f) for f in fields]
         except ValueError:
             raise ConfigError(f"data.synth_channels entry {part!r} has a "
                               f"non-numeric field") from None
-        channels.append(SynthChannel(period, amp, slope, noise))
+        if not all(map(math.isfinite, values)):
+            raise ConfigError(f"data.synth_channels entry {part!r} has a "
+                              f"non-finite field")
+        channels.append(SynthChannel(*values))
     if not channels:
         raise ConfigError("data.synth_channels is empty")
     return tuple(channels)
 
 
+# Value kind -> (parse, render). A parse that raises a plain ValueError
+# is reported as "<key>: expected <kind>, got <raw>".
+_KINDS = {
+    "int": (int, str),
+    "float": (float, str),
+    "bool": (_parse_bool, lambda value: "true" if value else "false"),
+    "str": (str, str),
+    "comma-separated integers": (
+        lambda raw: tuple(int(s) for s in raw.split(",") if s.strip()),
+        lambda seeds: ",".join(map(str, seeds))),
+    "synthetic channels": (  # shortest exact float text: 192.0 -> "192"
+        _parse_synth_channels,
+        lambda channels: ", ".join(":".join(repr(v).removesuffix(".0")
+                                            for v in dataclasses.astuple(c))
+                                   for c in channels)),
+}
+
+# Every key of the run-config format, in rendering order: (RunConfig
+# attribute, index or field within it, value kind). model.* and train.*
+# rows take names and kinds from the dataclasses (annotations are strings
+# under the __future__ import, so a field's type is its kind name).
+# ModelConfig's required fields are RunConfig fields; TrainSettings' AdamW
+# constants and per-run seed are not configurable.
+KEYS: dict[str, tuple[str, int | str | None, str]] = {
+    "data.path": ("data_path", None, "str"),
+    "data.name": ("dataset_name", None, "str"),
+    "data.channels": ("channels", None, "int"),  # dataset-free configs (gradcheck)
+    "data.ratio_train": ("ratios", 0, "float"),
+    "data.ratio_val": ("ratios", 1, "float"),
+    "data.ratio_test": ("ratios", 2, "float"),
+    "data.synth_length": ("synth_length", None, "int"),
+    "data.synth_channels": ("synth_channels", None, "synthetic channels"),
+    "data.synth_seed": ("synth_seed", None, "int"),
+    "model.kind": ("model_kind", None, "str"),
+    **{f"model.{f.name}": (f.name, None, f.type) if f.default is dataclasses.MISSING
+       else ("model", f.name, f.type)
+       for f in dataclasses.fields(ModelConfig) if f.name != "channels"},
+    **{f"train.{f.name}": ("train", f.name, f.type)
+       for f in dataclasses.fields(TrainSettings)
+       if f.name not in ("beta1", "beta2", "eps", "seed")},
+    "seeds": ("seeds", None, "comma-separated integers"),
+    "out_dir": ("out_dir", None, "str"),
+}
+
+
 def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
     """Parse the flat ``key = value`` run-config format ('#' starts a comment)."""
-    values: dict[str, str] = {}
+    cfg = RunConfig()
+    parts = {"ratios": list(cfg.ratios), "model": cfg.model, "train": {}}
+    seen = set()
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -287,123 +285,57 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
             raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {line!r}")
         key, _, raw = stripped.partition("=")
         key, raw = key.strip(), raw.strip()
-        if key not in _KNOWN_KEYS:
+        if key not in KEYS:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
-        if key in values:
+        if key in seen:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
-        values[key] = raw
-
-    def take(key, default=None):
-        if key not in values:
-            return default
-        raw = values[key]
-        kind = _KNOWN_KEYS[key]
+        seen.add(key)
+        attr, name, kind = KEYS[key]
         try:
-            if kind == _INT:
-                return int(raw)
-            if kind == _FLOAT:
-                return float(raw)
-            if kind == _BOOL:
-                return _parse_bool(raw, key)
-            return raw
+            value = _KINDS[kind][0](raw)
+        except ConfigError:
+            raise
         except ValueError:
             raise ConfigError(f"{key}: expected {kind}, got {raw!r}") from None
-
-    cfg = RunConfig()
-    cfg.data_path = take("data.path")
-    cfg.dataset_name = take("data.name", "")
-    cfg.channels = take("data.channels")
-    cfg.ratios = (take("data.ratio_train", 0.6), take("data.ratio_val", 0.2),
-                  take("data.ratio_test", 0.2))
-    cfg.synth_length = take("data.synth_length")
-    if "data.synth_channels" in values:
-        cfg.synth_channels = _parse_synth_channels(values["data.synth_channels"])
-    cfg.synth_seed = take("data.synth_seed", 0)
-    cfg.model_kind = take("model.kind", "mdmixer")
-    cfg.lookback = take("model.lookback", 96)
-    cfg.horizon = take("model.horizon", 96)
-    cfg.patch_len = take("model.patch_len", 32)
-    cfg.stride = take("model.stride", 16)
-    cfg.embed_dim = take("model.embed_dim", 64)
-    cfg.heads = take("model.heads", 8)
-    cfg.hidden = take("model.hidden", 64)
-    cfg.kernel = take("model.kernel", 25)
-    cfg.align_weight = take("model.align_weight", 0.01)
-    cfg.use_mpp = take("model.use_mpp", True)
-    cfg.use_mim = take("model.use_mim", True)
-    cfg.use_amwg = take("model.use_amwg", True)
-    cfg.use_align_loss = take("model.use_align_loss", True)
-    cfg.pos_encoding = take("model.pos_encoding", "shared")
-    cfg.train = TrainSettings(
-        lr=take("train.lr", 1e-3),
-        batch_size=take("train.batch_size", 32),
-        max_epochs=take("train.max_epochs", 30),
-        patience=take("train.patience", 5),
-        weight_decay=take("train.weight_decay", 0.0),
-    )
-    if "seeds" in values:
-        try:
-            cfg.seeds = tuple(int(s) for s in values["seeds"].split(",") if s.strip())
-        except ValueError:
-            raise ConfigError(f"seeds: expected comma-separated integers, "
-                              f"got {values['seeds']!r}") from None
-    cfg.out_dir = take("out_dir", "runs/out")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{key} must be finite, got {raw!r}")
+        if name is None:
+            setattr(cfg, attr, value)
+        else:
+            parts[attr][name] = value
+    cfg.ratios = tuple(parts["ratios"])
+    cfg.train = TrainSettings(**parts["train"])
     cfg.validate()
     return cfg
 
 
 def load_config(path: str | Path) -> RunConfig:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    return parse_config_text(path.read_text(encoding="utf-8"), source=str(path))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
+    return parse_config_text(text, source=str(path))
 
 
 def render_config(cfg: RunConfig) -> str:
-    """Serialize a RunConfig back to the flat format with defaults materialized."""
+    """Serialize a RunConfig back to the flat format with defaults materialized.
+
+    Keys whose default is empty (no data path, name, channel count or
+    synthetic series; synthetic seed 0) are written only when set.
+    """
+    defaults = RunConfig()
     lines = []
-
-    def put(key, value):
-        if value is None:
-            return
-        if isinstance(value, bool):
-            value = "true" if value else "false"
-        lines.append(f"{key} = {value}")
-
-    put("data.path", cfg.data_path)
-    put("data.name", cfg.dataset_name or None)
-    put("data.channels", cfg.channels)
-    put("data.ratio_train", cfg.ratios[0])
-    put("data.ratio_val", cfg.ratios[1])
-    put("data.ratio_test", cfg.ratios[2])
-    put("data.synth_length", cfg.synth_length)
-    if cfg.synth_channels:
-        put("data.synth_channels", ", ".join(
-            f"{c.period:g}:{c.amplitude:g}:{c.slope:g}:{c.noise:g}"
-            for c in cfg.synth_channels))
-        put("data.synth_seed", cfg.synth_seed)
-    put("model.kind", cfg.model_kind)
-    put("model.lookback", cfg.lookback)
-    put("model.horizon", cfg.horizon)
-    put("model.patch_len", cfg.patch_len)
-    put("model.stride", cfg.stride)
-    put("model.embed_dim", cfg.embed_dim)
-    put("model.heads", cfg.heads)
-    put("model.hidden", cfg.hidden)
-    put("model.kernel", cfg.kernel)
-    put("model.align_weight", cfg.align_weight)
-    put("model.use_mpp", cfg.use_mpp)
-    put("model.use_mim", cfg.use_mim)
-    put("model.use_amwg", cfg.use_amwg)
-    put("model.use_align_loss", cfg.use_align_loss)
-    put("model.pos_encoding", cfg.pos_encoding)
-    put("train.lr", cfg.train.lr)
-    put("train.batch_size", cfg.train.batch_size)
-    put("train.max_epochs", cfg.train.max_epochs)
-    put("train.patience", cfg.train.patience)
-    put("train.weight_decay", cfg.train.weight_decay)
-    put("seeds", ",".join(str(s) for s in cfg.seeds))
-    put("out_dir", cfg.out_dir)
+    for key, (attr, name, kind) in KEYS.items():
+        value = getattr(cfg, attr)
+        if name is None:
+            default = getattr(defaults, attr)
+            if not default and value == default:
+                continue
+        else:
+            value = getattr(value, name) if attr == "train" else value[name]
+        lines.append(f"{key} = {_KINDS[kind][1](value)}")
     return "\n".join(lines) + "\n"
 
 

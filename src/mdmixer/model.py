@@ -73,9 +73,6 @@ class ParamSet:
     def dtype(self):
         return next(iter(self._tensors.values())).dtype
 
-    def num_values(self) -> int:
-        return sum(v.size for v in self._tensors.values())
-
 
 @dataclass
 class ForecastOutput:
@@ -495,11 +492,15 @@ def load_checkpoint(path: str | Path) -> ParamSet:
     entries, blob = _parse_manifest(Path(path))
     tensors = {}
     for name, shape, offset in entries:
-        count = int(np.prod(shape)) if shape else 1
+        count = math.prod(shape)  # exact: np.prod wraps to 0 on int64 overflow
         end = offset + 4 * count
         if end > len(blob):
             raise CheckpointError(f"{path}: blob truncated for tensor {name!r}")
-        arr = np.frombuffer(blob[offset:end], dtype="<f4").reshape(shape).copy()
+        try:
+            arr = np.frombuffer(blob[offset:end], dtype="<f4").reshape(shape).copy()
+        except ValueError as exc:  # more dimensions than numpy supports
+            raise CheckpointError(f"{path}: tensor {name!r} has unusable shape: "
+                                  f"{exc}") from None
         if not np.isfinite(arr).all():
             raise CheckpointError(f"{path}: tensor {name!r} has non-finite values")
         tensors[name] = arr
@@ -517,10 +518,13 @@ def _parse_manifest(path: Path):
     cut = data.find(marker, newline)
     if cut < 0:
         raise CheckpointError(f"{path}: manifest missing 'end' terminator")
-    manifest = data[newline + 1:cut + 1].decode("utf-8")
     blob = data[cut + len(marker):]
     entries = []
-    for line in manifest.splitlines():
+    for raw in data[newline + 1:cut + 1].splitlines():
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(f"{path}: manifest line {raw!r} is not UTF-8") from None
         if not line:
             continue
         fields = line.split()

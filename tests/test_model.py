@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mdmixer.config import ConfigError, ModelConfig
 from mdmixer.model import CheckpointError, ParamSet, amwg, embed, forward, \
@@ -442,6 +443,58 @@ def test_checkpoint_rejects_malformed_manifest(tmp_path, tiny_cfg, old, new,
     path.write_bytes(data.replace(old, new, 1))
     with pytest.raises(CheckpointError, match=f"'embed_s.weight'.*{message}"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("old, new, message", [
+    (b"\nembed_s.weight 4x3 0\n", b"\nembed_s.weight 4294967296x4294967296 0\n",
+     "blob truncated for tensor 'embed_s.weight'"),
+    (b"\nembed_s.weight 4x3 0\n", b"\nembed_s.weight " + b"1x" * 64 + b"12 0\n",
+     "tensor 'embed_s.weight' has unusable shape"),
+    (b"\nembed_s.weight 4x3 0\n", b"\nembed_s.\xffweight 4x3 0\n",
+     r"manifest line b'embed_s.\\xffweight 4x3 0' is not UTF-8"),
+], ids=["shape_overflows_int64", "too_many_dims", "non_utf8_name"])
+def test_checkpoint_rejects_unloadable_manifest(tmp_path, tiny_cfg, old, new,
+                                                message):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, init_params(tiny_cfg, 0))
+    path.write_bytes(path.read_bytes().replace(old, new, 1))
+    with pytest.raises(CheckpointError, match=message):
+        load_checkpoint(path)
+
+
+# A manifest record (the replaced line's name, a new name or a non-UTF-8
+# one) whose shape may overflow int64 or exceed numpy's dimension limit;
+# the fuzz may also overwrite one line with random bytes.
+DIMS = st.lists(st.one_of(st.sampled_from([1, 3, 4, 2**32, 2**63]),
+                          st.integers(-1, 2**65)), min_size=1, max_size=4)
+RECORD = st.tuples(
+    st.sampled_from([None, b"extra", b"x\xfe"]),
+    st.builds(lambda dims, ones: "x".join(map(str, dims + [1] * ones)).encode(),
+              DIMS, st.sampled_from([0, 64])),
+    st.one_of(st.sampled_from([0, 4, 48]), st.integers(-2, 2**70)).map(
+        lambda n: str(n).encode()))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(index=st.integers(0, 30), record=RECORD,
+       noise=st.one_of(st.none(), st.tuples(st.integers(0, 30), st.binary(max_size=40))),
+       blob_cut=st.one_of(st.just(0), st.integers(0, 400)))
+def test_checkpoint_fuzz_raises_only_checkpoint_error(tmp_path_factory, index,
+                                                      record, noise, blob_cut):
+    path = tmp_path_factory.mktemp("fuzz") / "model.ckpt"
+    save_checkpoint(path, init_params(ModelConfig(**TINY), 0))
+    head, _, blob = path.read_bytes().partition(b"\nend\n")
+    lines = head.split(b"\n")
+    i = 1 + index % (len(lines) - 1)
+    name, shape, offset = record
+    lines[i] = b" ".join([name or lines[i].split(b" ")[0], shape, offset])
+    if noise is not None:
+        lines[1 + noise[0] % (len(lines) - 1)] = noise[1]
+    path.write_bytes(b"\n".join(lines) + b"\nend\n" + blob[:len(blob) - blob_cut])
+    try:
+        load_checkpoint(path)
+    except CheckpointError:
+        pass
 
 
 def test_param_layout_matches_init(tiny_cfg):
