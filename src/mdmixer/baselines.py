@@ -11,13 +11,11 @@ and reverse reuse the model's ops.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .config import BaselineConfig
-from .model import ParamSet, check_params_match, linear, linear_backward, mlp, \
-    mlp_backward
+from .model import ParamSet, check_params_match, init_layout, linear, \
+    linear_backward, mlp, mlp_backward
 from .preprocess import decompose, instance_denormalize, instance_normalize
 
 
@@ -35,17 +33,8 @@ def baseline_param_layout(cfg: BaselineConfig) -> dict[str, tuple[int, ...]]:
 
 def init_baseline_params(cfg: BaselineConfig, seed: int,
                          dtype=np.float32) -> ParamSet:
-    """Same init convention as the main model: uniform +-1/sqrt(fan_in)
-    weights, zero biases."""
-    rng = np.random.default_rng(seed)
-    tensors = {}
-    for name, shape in baseline_param_layout(cfg).items():
-        if name.endswith(".bias"):
-            tensors[name] = np.zeros(shape, dtype=dtype)
-        else:
-            bound = 1.0 / math.sqrt(shape[0])
-            tensors[name] = rng.uniform(-bound, bound, size=shape).astype(dtype)
-    return ParamSet(tensors)
+    """Same init as the main model (``model.init_layout``)."""
+    return init_layout(baseline_param_layout(cfg), seed, dtype)
 
 
 def baseline_forward(x: np.ndarray, params: ParamSet,

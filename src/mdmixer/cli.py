@@ -17,8 +17,8 @@ from .config import ConfigError, RunConfig, load_config, render_config
 from .data import DataError, SeriesFrame, SplitSpec, chronological_split, \
     load_csv, make_windows, standardize, synth_multiscale
 from .evaluation import MetricRow, aggregate_seeds, evaluate, export_amwg, \
-    export_granularity_forecasts, write_amwg_csv, write_metric_rows, \
-    write_seed_summaries
+    export_granularity_forecasts, write_amwg_csv, write_lines, \
+    write_metric_rows, write_seed_summaries
 from .model import CheckpointError, check_params_match, forward, \
     load_checkpoint, param_layout, save_checkpoint
 from .baselines import baseline_param_layout
@@ -60,11 +60,21 @@ def _dataset_label(run_cfg: RunConfig) -> str:
     return "synthetic"
 
 
+def _load_config(args) -> RunConfig:
+    """The config file with ``--seed`` replacing its seed list (for the
+    commands that train or initialize per seed)."""
+    run_cfg = load_config(args.config)
+    if args.seed is not None:
+        run_cfg.seeds = tuple(args.seed)
+        run_cfg.validate()
+    return run_cfg
+
+
 def _write_config_echo(run_cfg: RunConfig, channels: int, out_dir: Path):
     resolved = dataclasses.replace(run_cfg, channels=channels,
                                    out_dir=str(out_dir))
-    (out_dir / "config_resolved.cfg").write_text(render_config(resolved),
-                                                 encoding="utf-8")
+    write_lines(out_dir / "config_resolved.cfg",
+                render_config(resolved).splitlines())
 
 
 def _train_one_seed(run_cfg: RunConfig, seed: int, out_dir: str) -> MetricRow:
@@ -82,12 +92,8 @@ def _train_one_seed(run_cfg: RunConfig, seed: int, out_dir: str) -> MetricRow:
 
 
 def cmd_train(args) -> int:
-    run_cfg = load_config(args.config)
-    if args.seed is not None:
-        run_cfg.seeds = tuple(args.seed)
-        run_cfg.validate()
+    run_cfg = _load_config(args)
     out_dir = Path(args.out or run_cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     frame = _load_frame(run_cfg)  # fail fast on data problems
     run_cfg.resolve_model(frame.num_channels)
     _write_config_echo(run_cfg, frame.num_channels, out_dir)
@@ -110,77 +116,71 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_verified_checkpoint(ckpt_path: str, cfg):
-    params = load_checkpoint(ckpt_path)
+def _open_run(args, mdmixer_only: bool):
+    """Start of every command that reads a checkpoint: load and prepare the
+    config's data, load the checkpoint and verify it against the model,
+    check ``--window`` where the command has it, and only then create the
+    output directory with the config echo.
+
+    Returns the run config, the model config, the test windows, the
+    parameters and the output directory."""
+    run_cfg = load_config(args.config)
+    cfg, (_, _, test_w) = _prepare(run_cfg)
+    if mdmixer_only and not isinstance(cfg, ModelConfig):
+        raise ConfigError(f"{args.command} needs model.kind = mdmixer")
+    params = load_checkpoint(args.checkpoint)
     layout = (baseline_param_layout(cfg) if isinstance(cfg, BaselineConfig)
               else param_layout(cfg))
     check_params_match(params, cfg, layout=layout)
-    return params
+    index = getattr(args, "window", None)
+    if index is not None and not 0 <= index < len(test_w):
+        raise ConfigError(f"window index {index} out of range "
+                          f"[0, {len(test_w) - 1}]")
+    out_dir = Path(args.out or run_cfg.out_dir)
+    _write_config_echo(run_cfg, cfg.channels, out_dir)
+    return run_cfg, cfg, test_w, params, out_dir
+
+
+def _write_heatmap(params, cfg: ModelConfig, test_w, out_dir: Path):
+    """Gate weights averaged over the first 256 test windows."""
+    write_amwg_csv(out_dir / "amwg_heatmap.csv",
+                   export_amwg(params, cfg, test_w.inputs[:256]))
 
 
 def cmd_eval(args) -> int:
-    run_cfg = load_config(args.config)
-    cfg, (_, _, test_w) = _prepare(run_cfg)
-    params = _load_verified_checkpoint(args.checkpoint, cfg)
+    run_cfg, cfg, test_w, params, out_dir = _open_run(args,
+                                                      mdmixer_only=False)
     row = evaluate(params, cfg, test_w, dataset=_dataset_label(run_cfg),
                    seed=args.seed[0] if args.seed else 0)
-    out_dir = Path(args.out or run_cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_config_echo(run_cfg, cfg.channels, out_dir)
     write_metric_rows(out_dir / "metrics.csv", [row])
     print(f"test mse {row.mse:.6f} mae {row.mae:.6f}")
     return 0
 
 
 def cmd_forecast(args) -> int:
-    run_cfg = load_config(args.config)
-    cfg, (_, _, test_w) = _prepare(run_cfg)
-    if not isinstance(cfg, ModelConfig):
-        raise ConfigError("forecast needs model.kind = mdmixer (baselines "
-                          "have no per-granularity outputs)")
-    params = _load_verified_checkpoint(args.checkpoint, cfg)
-    index = args.window
-    if index < 0 or index >= len(test_w):
-        raise ConfigError(f"window index {index} out of range "
-                          f"[0, {len(test_w) - 1}]")
-    out_dir = Path(args.out or run_cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_config_echo(run_cfg, cfg.channels, out_dir)
-    window = test_w.inputs[index:index + 1]
-    output = forward(window, params, cfg)
-    paths = export_granularity_forecasts(output, out_dir)
-    heat_batch = test_w.inputs[:min(len(test_w), 256)]
-    heatmap = export_amwg(params, cfg, heat_batch)
-    write_amwg_csv(out_dir / "amwg_heatmap.csv", heatmap)
+    _, cfg, test_w, params, out_dir = _open_run(args, mdmixer_only=True)
+    window = test_w.inputs[args.window:args.window + 1]
+    paths = export_granularity_forecasts(forward(window, params, cfg), out_dir)
+    _write_heatmap(params, cfg, test_w, out_dir)
     print(f"wrote {len(paths)} forecast file(s) and amwg_heatmap.csv to {out_dir}")
     return 0
 
 
 def cmd_gradcheck(args) -> int:
-    run_cfg = load_config(args.config)
+    run_cfg = _load_config(args)
     channels = run_cfg.channels
     if channels is None:
         channels = _load_frame(run_cfg).num_channels
     cfg = run_cfg.resolve_model(channels)
-    seed = args.seed[0] if args.seed else run_cfg.seeds[0]
-    report = gradcheck(cfg, seed=seed, h=args.h, tol=args.tol)
+    report = gradcheck(cfg, seed=run_cfg.seeds[0], h=args.h, tol=args.tol)
     print(f"max relative error {report.max_rel_err:.3e} "
           f"(worst: {report.worst_param}, tolerance {report.tolerance:g})")
     return 0 if report.passed else 1
 
 
 def cmd_export_weights(args) -> int:
-    run_cfg = load_config(args.config)
-    cfg, (_, _, test_w) = _prepare(run_cfg)
-    if not isinstance(cfg, ModelConfig):
-        raise ConfigError("export-weights needs model.kind = mdmixer")
-    params = _load_verified_checkpoint(args.checkpoint, cfg)
-    out_dir = Path(args.out or run_cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_config_echo(run_cfg, cfg.channels, out_dir)
-    heat_batch = test_w.inputs[:min(len(test_w), 256)]
-    heatmap = export_amwg(params, cfg, heat_batch)
-    write_amwg_csv(out_dir / "amwg_heatmap.csv", heatmap)
+    _, cfg, test_w, params, out_dir = _open_run(args, mdmixer_only=True)
+    _write_heatmap(params, cfg, test_w, out_dir)
     print(f"wrote amwg_heatmap.csv to {out_dir}")
     return 0
 

@@ -186,6 +186,11 @@ class RunConfig:
         if len(set(self.seeds)) != len(self.seeds):
             # each seed names its checkpoint and metrics row
             raise ConfigError(f"seeds must be distinct, got {self.seeds}")
+        # numpy's generators take only non-negative seeds
+        if min(self.seeds) < 0:
+            raise ConfigError(f"seeds must be >= 0, got {self.seeds}")
+        if self.synth_seed < 0:
+            raise ConfigError(f"data.synth_seed must be >= 0, got {self.synth_seed}")
         # Resolving with a placeholder channel count runs the model-side checks
         # (head divisibility, patch geometry) before any data is touched.
         self.resolve_model(self.channels or 1)

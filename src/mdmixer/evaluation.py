@@ -1,10 +1,11 @@
-"""Metrics, the benchmark evaluation protocol, seed aggregation, and the
-interpretability exports (gate-weight heatmap, per-granularity forecasts)."""
+"""Metrics, the benchmark evaluation protocol, seed aggregation, the
+writer every run file goes through, and the interpretability exports
+(gate-weight heatmap, per-granularity forecasts)."""
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ import numpy as np
 from .baselines import baseline_forward
 from .config import BaselineConfig, ModelConfig
 from .data import WindowBatch
-from .model import ForecastOutput, ParamSet, forward
+from .model import ForecastOutput, ParamSet, forward, upsample
 
 EVAL_BATCH = 256
 
@@ -59,9 +60,11 @@ def predict(x: np.ndarray, params: ParamSet,
     return forward(x, params, cfg).final
 
 
-def streaming_metrics(params: ParamSet, cfg, windows: WindowBatch,
-                      batch_size: int = EVAL_BATCH) -> tuple[float, float]:
-    """(mse, mae) accumulated elementwise over every window, in order."""
+def evaluate(params: ParamSet, cfg, windows: WindowBatch, dataset: str = "",
+             seed: int = 0, batch_size: int = EVAL_BATCH) -> MetricRow:
+    """Run the forward pass over all windows of a split and report metrics
+    in the dataset-standardized space (the space the windows live in),
+    accumulated elementwise over every window, in order."""
     sq_sum = 0.0
     abs_sum = 0.0
     count = 0
@@ -73,16 +76,8 @@ def streaming_metrics(params: ParamSet, cfg, windows: WindowBatch,
         count += diff.size
     if count == 0:
         raise ValueError("cannot evaluate an empty split")
-    return sq_sum / count, abs_sum / count
-
-
-def evaluate(params: ParamSet, cfg, windows: WindowBatch, dataset: str = "",
-             seed: int = 0, batch_size: int = EVAL_BATCH) -> MetricRow:
-    """Run the forward pass over all windows of a split and report metrics
-    in the dataset-standardized space (the space the windows live in)."""
-    mse_value, mae_value = streaming_metrics(params, cfg, windows, batch_size)
     return MetricRow(dataset=dataset, horizon=cfg.horizon, seed=seed,
-                     mse=mse_value, mae=mae_value)
+                     mse=sq_sum / count, mae=abs_sum / count)
 
 
 def aggregate_seeds(rows: list[MetricRow]) -> list[SeedSummary]:
@@ -105,6 +100,36 @@ def aggregate_seeds(rows: list[MetricRow]) -> list[SeedSummary]:
 
 
 # ---------------------------------------------------------------------------
+# run files
+
+
+def csv_line(cells) -> str:
+    """Comma-joined cells: floats (numpy ones too) as the shortest text
+    that parses back exactly, anything else as ``str``."""
+    return ",".join(repr(float(v)) if isinstance(v, (float, np.floating))
+                    else str(v) for v in cells)
+
+
+def write_lines(path: str | Path, lines) -> Path:
+    """Write ``lines`` to ``path`` as UTF-8, each ending in a newline,
+    creating the parent directory."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return path
+
+
+def write_metric_rows(path: str | Path, rows: list[MetricRow]):
+    write_lines(path, ["dataset,horizon,seed,mse,mae"]
+                + [csv_line(astuple(r)) for r in rows])
+
+
+def write_seed_summaries(path: str | Path, summaries: list[SeedSummary]):
+    write_lines(path, ["dataset,horizon,runs,mse,mse_std,mae,mae_std"]
+                + [csv_line(astuple(s)) for s in summaries])
+
+
+# ---------------------------------------------------------------------------
 # interpretability exports
 
 
@@ -116,12 +141,9 @@ def export_amwg(params: ParamSet, cfg: ModelConfig, batch: np.ndarray) -> np.nda
 
 
 def write_amwg_csv(path: str | Path, heatmap: np.ndarray):
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     channels = heatmap.shape[1]
-    lines = [",".join(f"channel_{c}" for c in range(channels))]
-    lines += [",".join(repr(float(v)) for v in row) for row in heatmap]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(path, [",".join(f"channel_{c}" for c in range(channels))]
+                + [csv_line(row) for row in heatmap])
 
 
 def read_amwg_csv(path: str | Path) -> np.ndarray:
@@ -134,51 +156,19 @@ def read_amwg_csv(path: str | Path) -> np.ndarray:
 
 def export_granularity_forecasts(output: ForecastOutput,
                                  out_dir: str | Path) -> list[Path]:
-    """One CSV per head (raw length-G_i series plus its upsampled version)
-    and one for the final forecast, for the first window of the batch."""
+    """One CSV per head (raw length-G_i series plus that series upsampled
+    to the horizon) and one for the final forecast, for the first window
+    of the batch."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    channels = output.final.shape[2]
+    horizon, channels = output.final.shape[1:]
     header = "kind,step," + ",".join(f"channel_{c}" for c in range(channels))
-    paths = []
-    for i, (raw, up) in enumerate(zip(output.per_granularity,
-                                      output.upsampled), start=1):
-        lines = [header]
-        for step, row in enumerate(raw[0]):
-            lines.append("raw," + str(step) + "," +
-                         ",".join(repr(float(v)) for v in row))
-        for step, row in enumerate(up[0]):
-            lines.append("upsampled," + str(step) + "," +
-                         ",".join(repr(float(v)) for v in row))
-        path = out_dir / f"head_{i}.csv"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        paths.append(path)
-    lines = [header]
-    for step, row in enumerate(output.final[0]):
-        lines.append("final," + str(step) + "," +
-                     ",".join(repr(float(v)) for v in row))
-    final_path = out_dir / "final.csv"
-    final_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    paths.append(final_path)
+
+    def rows(kind, series):
+        return [csv_line((kind, step, *row)) for step, row in enumerate(series)]
+
+    paths = [write_lines(out_dir / f"head_{i}.csv", [header] + rows("raw", raw[0])
+                         + rows("upsampled", upsample(raw[0].T, horizon).T))
+             for i, raw in enumerate(output.per_granularity, start=1)]
+    paths.append(write_lines(out_dir / "final.csv",
+                             [header] + rows("final", output.final[0])))
     return paths
-
-
-# ---------------------------------------------------------------------------
-# metric file formats
-
-
-def write_metric_rows(path: str | Path, rows: list[MetricRow]):
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    lines = ["dataset,horizon,seed,mse,mae"]
-    lines += [f"{r.dataset},{r.horizon},{r.seed},{r.mse!r},{r.mae!r}" for r in rows]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def write_seed_summaries(path: str | Path, summaries: list[SeedSummary]):
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    lines = ["dataset,horizon,runs,mse,mse_std,mae,mae_std"]
-    lines += [f"{s.dataset},{s.horizon},{s.runs},{s.mse_mean!r},{s.mse_std!r},"
-              f"{s.mae_mean!r},{s.mae_std!r}" for s in summaries]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, ModelConfig
-from .preprocess import InstanceStats, decompose, instance_denormalize, \
+from .preprocess import decompose, instance_denormalize, \
     instance_normalize, patch
 
 CHECKPOINT_MAGIC = "mdmixer-checkpoint v1"
@@ -78,17 +78,15 @@ class ParamSet:
 class ForecastOutput:
     """Forecast plus the intermediates that explain it.
 
-    All series are in the scale of the input window (instance stats
-    restored): ``final`` (B x F x C), ``per_granularity[i]`` (B x G_i x C),
-    its upsampled counterpart (B x F x C), and the per-channel head
-    weights used by the fusion (B x H x C, simplex over the head axis).
+    Both series are in the scale of the input window (instance stats
+    restored): ``final`` (B x F x C) and ``per_granularity[i]`` (B x G_i x C);
+    ``gate_weights`` are the per-channel head weights used by the fusion
+    (B x H x C, simplex over the head axis).
     """
 
     final: np.ndarray
     per_granularity: list[np.ndarray]
-    upsampled: list[np.ndarray]
     gate_weights: np.ndarray
-    stats: InstanceStats
 
 
 def granularity_schedule(horizon: int, heads: int) -> list[int]:
@@ -134,11 +132,17 @@ def param_layout(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
 
 
 def init_params(cfg: ModelConfig, seed: int, dtype=np.float32) -> ParamSet:
-    """Seeded init: weights uniform in +-1/sqrt(fan_in), biases zero,
-    positional encodings N(0, 0.02^2)."""
+    """Seeded init of the model's tensors (see ``init_layout``)."""
+    return init_layout(param_layout(cfg), seed, dtype)
+
+
+def init_layout(layout: dict[str, tuple[int, ...]], seed: int,
+                dtype=np.float32) -> ParamSet:
+    """Seeded init in layout order: weights uniform in +-1/sqrt(fan_in),
+    biases zero, positional encodings (``pos_*``) N(0, 0.02^2)."""
     rng = np.random.default_rng(seed)
     tensors: dict[str, np.ndarray] = {}
-    for name, shape in param_layout(cfg).items():
+    for name, shape in layout.items():
         if name.startswith("pos_"):
             tensors[name] = rng.normal(0.0, 0.02, size=shape).astype(dtype)
         elif name.endswith(".bias"):
@@ -418,10 +422,8 @@ def forward_with_context(x: np.ndarray, params: ParamSet,
 
     output = ForecastOutput(
         final=restore(fused), per_granularity=[restore(y) for y in y_sum],
-        upsampled=[restore(y) for y in upsampled],
         gate_weights=weights if cfg.amwg_enabled
-        else np.full((b, heads, c), 1.0 / heads, dtype=dtype),
-        stats=stats)
+        else np.full((b, heads, c), 1.0 / heads, dtype=dtype))
     saved = (stats, patches, u_s, u_t, trend_acts, y_s, y_t, upsampled,
              weights, gate_saved)
     return output, saved
@@ -510,7 +512,12 @@ def load_checkpoint(path: str | Path) -> ParamSet:
 def _parse_manifest(path: Path):
     if not path.exists():
         raise CheckpointError(f"checkpoint not found: {path}")
-    data = path.read_bytes()
+    if not path.is_file():
+        raise CheckpointError(f"{path}: not a regular file")
+    try:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from None
     newline = data.find(b"\n")
     if newline < 0 or data[:newline].decode("utf-8", "replace") != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint (bad magic line)")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import lru_cache
 from pathlib import Path
 
@@ -21,7 +21,7 @@ from .baselines import baseline_backward, baseline_forward, \
     baseline_forward_with_context, init_baseline_params
 from .config import BaselineConfig, ModelConfig, TrainSettings, config_echo
 from .data import WindowBatch
-from .evaluation import streaming_metrics
+from .evaluation import csv_line, evaluate, write_lines
 from .model import ParamSet, forward, forward_with_context, init_params, \
     model_backward
 
@@ -265,11 +265,11 @@ def train(cfg: ModelConfig | BaselineConfig, train_windows: WindowBatch,
             adamw_step(params, grads, state)
             loss_sum += breakdown.total * len(xb)
             seen += len(xb)
-        val_mse, val_mae = streaming_metrics(params, cfg, val_windows)
+        val = evaluate(params, cfg, val_windows)
         rows.append(EpochRow(epoch=epoch, train_loss=loss_sum / seen,
-                             val_mse=val_mse, val_mae=val_mae))
-        if val_mse < best_mse:
-            best_mse, best_mae, best_epoch = val_mse, val_mae, epoch
+                             val_mse=val.mse, val_mae=val.mae))
+        if val.mse < best_mse:
+            best_mse, best_mae, best_epoch = val.mse, val.mae, epoch
             best_params = params.copy()
             stale = 0
         else:
@@ -288,14 +288,10 @@ def train(cfg: ModelConfig | BaselineConfig, train_windows: WindowBatch,
 def write_train_report(report: TrainReport, csv_path: str | Path,
                        summary_path: str | Path | None = None):
     """Per-epoch CSV plus a small human-readable summary block."""
-    csv_path = Path(csv_path)
-    csv_path.parent.mkdir(parents=True, exist_ok=True)
-    lines = ["epoch,train_loss,val_mse,val_mae"]
-    lines += [f"{r.epoch},{r.train_loss!r},{r.val_mse!r},{r.val_mae!r}"
-              for r in report.epochs]
-    csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(csv_path, ["epoch,train_loss,val_mse,val_mae"]
+                + [csv_line(astuple(r)) for r in report.epochs])
     if summary_path is not None:
-        summary = [
+        write_lines(summary_path, [
             f"seed: {report.seed}",
             f"epochs run: {len(report.epochs)}",
             f"best epoch: {report.best_epoch}",
@@ -303,9 +299,7 @@ def write_train_report(report: TrainReport, csv_path: str | Path,
             f"best val mae: {report.best_val_mae!r}",
             f"wall clock seconds: {report.wall_clock_seconds:.3f}",
             "config:",
-        ]
-        summary += [f"  {k} = {v}" for k, v in sorted(report.config.items())]
-        Path(summary_path).write_text("\n".join(summary) + "\n", encoding="utf-8")
+        ] + [f"  {k} = {v}" for k, v in sorted(report.config.items())])
 
 
 # ---------------------------------------------------------------------------

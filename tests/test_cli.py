@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from mdmixer.cli import main
 
@@ -106,6 +107,7 @@ def test_forecast_window_out_of_range_exits_2(tmp_path, capsys):
                  "--window", "99999"])
     assert code == 2
     assert "out of range" in capsys.readouterr().err
+    assert not (tmp_path / "f").exists()
 
 
 def test_checkpoint_config_mismatch_exits_2(tmp_path, capsys):
@@ -133,6 +135,37 @@ def test_malformed_checkpoint_manifest_exits_2(tmp_path, capsys):
                  "--out", str(tmp_path / "e")])
     assert code == 2
     assert "'embed_s.weight' has negative offset" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    cfg_path, out = write_config(tmp_path_factory.mktemp("trained"))
+    assert main(["train", "--config", str(cfg_path), "--seed", "1"]) == 0
+    return cfg_path, out
+
+
+@pytest.mark.parametrize("command", ["eval", "forecast", "export-weights"])
+@pytest.mark.parametrize("case, edit, needle", [
+    ("lookback_too_long", ("model.lookback = 8", "model.lookback = 300"),
+     "train segment too short"),
+    ("mismatched_checkpoint", ("model.embed_dim = 3", "model.embed_dim = 5"),
+     "embed_s.weight"),
+    ("directory_checkpoint", None, "not a regular file"),
+])
+def test_checkpoint_commands_exit_2_before_writing(tmp_path, capsys, trained,
+                                                   command, case, edit, needle):
+    cfg_path, out = trained
+    ckpt = out / "seed1.ckpt"
+    if edit is not None:
+        cfg_path = tmp_path / "edited.cfg"
+        cfg_path.write_text(trained[0].read_text().replace(*edit))
+    else:
+        ckpt = out
+    target = tmp_path / "target"
+    assert main([command, "--config", str(cfg_path), "--checkpoint", str(ckpt),
+                 "--out", str(target)]) == 2
+    assert needle in capsys.readouterr().err
+    assert not target.exists()
 
 
 def test_gradcheck_command(tmp_path, capsys):

@@ -91,6 +91,8 @@ BASE = "data.channels = 2\n"
     ("model.use_mim = maybe\n", "model.use_mim: expected bool, got 'maybe'"),
     ("seeds = 1,x\n", "seeds: expected comma-separated integers, got '1,x'"),
     ("seeds = ,\n", "seeds must list at least one seed"),
+    ("seeds = 1,-2\n", "seeds must be >= 0, got (1, -2)"),
+    ("data.synth_seed = -1\n", "data.synth_seed must be >= 0, got -1"),
     ("data.synth_length = 400\ndata.synth_channels = 8:1:0\n",
      "data.synth_channels entry '8:1:0' must be period:amp:slope:noise"),
     ("data.synth_length = 400\ndata.synth_channels = 8:a:0:0.1\n",
@@ -120,7 +122,8 @@ BASE = "data.channels = 2\n"
     ("train.batch_size = 0\n", "batch_size must be >= 1, got 0"),
     ("model.patch_len = 100\n", "patch_len (100) must not exceed lookback (96)"),
 ], ids=["unknown_key", "duplicate_key", "junk_line", "bad_int", "bad_float",
-        "bad_bool", "bad_seeds", "no_seeds", "synth_arity", "synth_non_numeric",
+        "bad_bool", "bad_seeds", "no_seeds", "negative_seed",
+        "negative_synth_seed", "synth_arity", "synth_non_numeric",
         "synth_empty", "synth_period", "synth_noise", "synth_length_alone",
         "ratio_sum", "model_kind", "head_divisibility", "even_kernel",
         "baseline_even_kernel", "pos_encoding", "negative_lr",
@@ -202,7 +205,11 @@ def test_synth_channels_render_exactly():
     (lambda text: text.replace("24:1.0:0.005:0.1", "nan:1.0:0.005:0.1"),
      "data.synth_channels"),
     (lambda text: text.replace("seeds = 1,2", "seeds = 1,1"), "seeds"),
-], ids=["nan_ratio", "inf_align_weight", "nan_period", "duplicate_seeds"])
+    (lambda text: text.replace("seeds = 1,2", "seeds = 1,-2"), "seeds"),
+    (lambda text: text.replace("data.synth_seed = 3", "data.synth_seed = -1"),
+     "data.synth_seed"),
+], ids=["nan_ratio", "inf_align_weight", "nan_period", "duplicate_seeds",
+        "negative_seed", "negative_synth_seed"])
 def test_cli_rejects_bad_values_with_exit_2(tmp_path, capsys, edit, needle):
     cfg_path, out = write_config(tmp_path)
     cfg_path.write_text(edit(cfg_path.read_text()))
@@ -216,6 +223,13 @@ def test_cli_rejects_repeated_seed_flag(tmp_path, capsys):
     assert main(["train", "--config", str(cfg_path), "--seed", "1",
                  "--seed", "1"]) == 2
     assert "seeds must be distinct" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_rejects_negative_seed_flag(tmp_path, capsys):
+    cfg_path, out = write_config(tmp_path)
+    assert main(["train", "--config", str(cfg_path), "--seed", "-1"]) == 2
+    assert "seeds must be >= 0, got (-1,)" in capsys.readouterr().err
     assert not out.exists()
 
 

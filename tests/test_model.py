@@ -254,7 +254,8 @@ def test_forward_shapes(tiny_cfg):
     out = forward(rand_batch(rng, 3, 8, 2), params, tiny_cfg)
     assert out.final.shape == (3, 4, 2)
     assert [y.shape for y in out.per_granularity] == [(3, 2, 2), (3, 4, 2)]
-    assert [y.shape for y in out.upsampled] == [(3, 4, 2), (3, 4, 2)]
+    assert [upsample(y.transpose(0, 2, 1), 4).transpose(0, 2, 1).shape
+            for y in out.per_granularity] == [(3, 4, 2), (3, 4, 2)]
     assert out.gate_weights.shape == (3, 2, 2)
 
 
@@ -282,7 +283,8 @@ def test_forward_mean_fusion_of_equal_heads():
         params[f"mixer_s_{i}.weight"][:] = 0.0
         params[f"mixer_t_{i}.weight"][:] = 0.0
     out = forward(rand_batch(rng, 2, 8, 2), params, cfg)
-    np.testing.assert_allclose(out.final, out.upsampled[0], atol=1e-5)
+    head_1 = upsample(out.per_granularity[0].transpose(0, 2, 1), 4)
+    np.testing.assert_allclose(out.final, head_1.transpose(0, 2, 1), atol=1e-5)
     np.testing.assert_allclose(out.gate_weights, 0.5)
 
 
@@ -425,6 +427,25 @@ def test_checkpoint_rejects_garbage(tmp_path):
     path = tmp_path / "junk.ckpt"
     path.write_bytes(b"hello world\n")
     with pytest.raises(CheckpointError, match="magic"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_directory(tmp_path):
+    with pytest.raises(CheckpointError, match="not a regular file"):
+        load_checkpoint(tmp_path)
+
+
+def test_checkpoint_read_error_is_checkpoint_error(tmp_path, tiny_cfg,
+                                                   monkeypatch):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, init_params(tiny_cfg, 0))
+
+    def fail(self):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(type(path), "read_bytes", fail)
+    with pytest.raises(CheckpointError, match="cannot read checkpoint .*"
+                                              "Permission denied"):
         load_checkpoint(path)
 
 

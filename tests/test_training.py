@@ -6,7 +6,6 @@ from mdmixer.config import BaselineConfig, ModelConfig, SynthChannel, \
 from mdmixer.data import chronological_split, make_windows, standardize, \
     synth_multiscale, SplitSpec
 from mdmixer.model import ForecastOutput, forward, init_params
-from mdmixer.preprocess import InstanceStats
 from mdmixer.training import TrainingDiverged, adamw_step, alignment_targets, \
     backward, gradcheck, init_optimizer, main_loss, total_loss, train
 
@@ -63,11 +62,8 @@ def test_alignment_targets_identity():
 
 def _fake_output(final, per_gran, heads):
     b, _, c = final.shape
-    stats = InstanceStats(mean=np.zeros((b, c)), std=np.ones((b, c)))
     return ForecastOutput(final=final, per_granularity=per_gran,
-                          upsampled=[final] * heads,
-                          gate_weights=np.full((b, heads, c), 1.0 / heads),
-                          stats=stats)
+                          gate_weights=np.full((b, heads, c), 1.0 / heads))
 
 
 def test_total_loss_alpha_zero_collapse():
