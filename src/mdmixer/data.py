@@ -92,6 +92,8 @@ class WindowBatch:
     def batches(self, batch_size: int,
                 order: np.ndarray | None = None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Yield contiguous (x, y) batches; the last one may be short."""
+        if batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         n = len(self)
         for start in range(0, n, batch_size):
             idx = slice(start, min(start + batch_size, n))
@@ -112,44 +114,54 @@ def load_csv(path: str | Path) -> SeriesFrame:
     path = Path(path)
     if not path.exists():
         raise DataError(f"file not found: {path}")
-    with path.open(newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"empty file: {path}") from None
-        if len(header) < 2:
-            raise DataError(f"{path}: need a timestamp column plus at least "
-                            f"one value column, got {len(header)} column(s)")
-        channel_names = [h.strip() for h in header[1:]]
-        timestamps: list[str] = []
-        rows: list[list[float]] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DataError(f"{path}: malformed row, row {lineno} has "
-                                f"{len(row)} fields, expected {len(header)}")
-            timestamps.append(row[0])
-            parsed = []
-            for name, cell in zip(channel_names, row[1:]):
-                cell = cell.strip()
-                if not cell:
-                    raise DataError(f"{path}: missing value, column '{name}', row {lineno}")
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise DataError(f"{path}: non-numeric value, column '{name}', "
-                                    f"row {lineno}") from None
-                if not math.isfinite(value):
-                    raise DataError(f"{path}: non-finite value, column '{name}', "
-                                    f"row {lineno}")
-                parsed.append(value)
-            rows.append(parsed)
-    if not rows:
-        raise DataError(f"empty file: {path} (header only)")
+    if not path.is_file():
+        raise DataError(f"{path}: not a regular file")
+    try:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
+            channel_names, timestamps, rows = _read_rows(path, csv.reader(fh))
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: not UTF-8 text") from None
     values = np.asarray(rows, dtype=np.float32)
     return SeriesFrame(values, timestamps, channel_names)
+
+
+def _read_rows(path: Path, reader) -> tuple[list[str], list[str], list[list[float]]]:
+    """Channel names, timestamps and parsed value rows of a CSV reader."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError(f"empty file: {path}") from None
+    if len(header) < 2:
+        raise DataError(f"{path}: need a timestamp column plus at least "
+                        f"one value column, got {len(header)} column(s)")
+    channel_names = [h.strip() for h in header[1:]]
+    timestamps: list[str] = []
+    rows: list[list[float]] = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise DataError(f"{path}: malformed row, row {lineno} has "
+                            f"{len(row)} fields, expected {len(header)}")
+        timestamps.append(row[0])
+        parsed = []
+        for name, cell in zip(channel_names, row[1:]):
+            cell = cell.strip()
+            if not cell:
+                raise DataError(f"{path}: missing value, column '{name}', row {lineno}")
+            try:
+                value = float(cell)
+            except ValueError:
+                raise DataError(f"{path}: non-numeric value, column '{name}', "
+                                f"row {lineno}") from None
+            if not math.isfinite(value):
+                raise DataError(f"{path}: non-finite value, column '{name}', "
+                                f"row {lineno}")
+            parsed.append(value)
+        rows.append(parsed)
+    if not rows:
+        raise DataError(f"empty file: {path} (header only)")
+    return channel_names, timestamps, rows
 
 
 def standardize(frame: SeriesFrame,

@@ -15,7 +15,11 @@ from .config import BaselineConfig, ModelConfig
 from .data import WindowBatch
 from .model import ForecastOutput, ParamSet, forward, upsample
 
+# Inference batches hold at most EVAL_BATCH windows and at most EVAL_CELLS
+# windows x channels: the forward's working set grows with windows x
+# channels (about 24 KB each at T=F=96), so this bounds it at any width.
 EVAL_BATCH = 256
+EVAL_CELLS = 2048
 
 
 @dataclass
@@ -60,11 +64,20 @@ def predict(x: np.ndarray, params: ParamSet,
     return forward(x, params, cfg).final
 
 
+def eval_batch_size(channels: int) -> int:
+    """Windows per inference batch at this channel count: at most
+    EVAL_BATCH, at most EVAL_CELLS // channels, and at least one."""
+    return max(1, min(EVAL_BATCH, EVAL_CELLS // channels))
+
+
 def evaluate(params: ParamSet, cfg, windows: WindowBatch, dataset: str = "",
-             seed: int = 0, batch_size: int = EVAL_BATCH) -> MetricRow:
+             seed: int = 0, batch_size: int | None = None) -> MetricRow:
     """Run the forward pass over all windows of a split and report metrics
     in the dataset-standardized space (the space the windows live in),
-    accumulated elementwise over every window, in order."""
+    accumulated elementwise over every window, in order. ``batch_size``
+    defaults to ``eval_batch_size`` of the windows' channel count."""
+    if batch_size is None:
+        batch_size = eval_batch_size(windows.inputs.shape[2])
     sq_sum = 0.0
     abs_sum = 0.0
     count = 0
@@ -135,9 +148,12 @@ def write_seed_summaries(path: str | Path, summaries: list[SeedSummary]):
 
 def export_amwg(params: ParamSet, cfg: ModelConfig, batch: np.ndarray) -> np.ndarray:
     """Gate weights averaged over a batch of windows: (H x C), rows running
-    coarse to fine, every column a simplex."""
-    output = forward(batch, params, cfg)
-    return output.gate_weights.mean(axis=0)
+    coarse to fine, every column a simplex. The windows run in slices of
+    ``eval_batch_size``."""
+    size = eval_batch_size(batch.shape[2])
+    weights = [forward(batch[start:start + size], params, cfg).gate_weights
+               for start in range(0, len(batch), size)]
+    return np.concatenate(weights).mean(axis=0)
 
 
 def write_amwg_csv(path: str | Path, heatmap: np.ndarray):

@@ -305,8 +305,9 @@ def amwg_backward(d_fused: np.ndarray, upsampled: list[np.ndarray], saved,
 
 
 @lru_cache(maxsize=128)
-def _interp_matrix(source_len: int, target_len: int) -> np.ndarray:
-    """(G x F) endpoint-aligned linear-interpolation matrix, float64.
+def _interp_matrix(source_len: int, target_len: int, dtype) -> np.ndarray:
+    """(G x F) endpoint-aligned linear-interpolation matrix, computed in
+    float64 and cast once to ``dtype``; read-only, since it is cached.
 
     Built so that G == F gives the exact identity and both endpoints are
     copied through unchanged.
@@ -317,30 +318,30 @@ def _interp_matrix(source_len: int, target_len: int) -> np.ndarray:
     mat = np.zeros((source_len, target_len), dtype=np.float64)
     if source_len == 1:
         mat[0, :] = 1.0
-        return mat
-    scale = (source_len - 1) / (target_len - 1)
-    for j in range(target_len):
-        s = j * scale
-        k = int(math.floor(s))
-        if k >= source_len - 1:
-            mat[source_len - 1, j] = 1.0
-        else:
-            frac = s - k
-            mat[k, j] = 1.0 - frac
-            mat[k + 1, j] = frac
+    else:
+        scale = (source_len - 1) / (target_len - 1)
+        for j in range(target_len):
+            s = j * scale
+            k = int(math.floor(s))
+            if k >= source_len - 1:
+                mat[source_len - 1, j] = 1.0
+            else:
+                frac = s - k
+                mat[k, j] = 1.0 - frac
+                mat[k + 1, j] = frac
+    mat = mat.astype(dtype)
+    mat.flags.writeable = False
     return mat
 
 
 def upsample(y: np.ndarray, target_len: int) -> np.ndarray:
     """Stretch (B x C x G) to (B x C x F) by endpoint-aligned linear
     interpolation; exact identity when G == F."""
-    mat = _interp_matrix(y.shape[-1], target_len).astype(y.dtype)
-    return y @ mat
+    return y @ _interp_matrix(y.shape[-1], target_len, y.dtype)
 
 
 def upsample_backward(d_up: np.ndarray, source_len: int) -> np.ndarray:
-    mat = _interp_matrix(source_len, d_up.shape[-1]).astype(d_up.dtype)
-    return d_up @ mat.T
+    return d_up @ _interp_matrix(source_len, d_up.shape[-1], d_up.dtype).T
 
 
 def fuse(upsampled: list[np.ndarray], weights: np.ndarray) -> np.ndarray:

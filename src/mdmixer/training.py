@@ -86,14 +86,17 @@ def main_loss(y: np.ndarray, y_true: np.ndarray) -> float:
 
 
 @lru_cache(maxsize=128)
-def _pool_matrix(source_len: int, target_len: int) -> np.ndarray:
+def _pool_matrix(source_len: int, target_len: int, dtype) -> np.ndarray:
     """(G x F) adaptive average pooling: bin k averages source indices
-    [floor(k*F/G), ceil((k+1)*F/G))."""
+    [floor(k*F/G), ceil((k+1)*F/G)). Computed in float64 and cast once to
+    ``dtype``; read-only, since it is cached."""
     mat = np.zeros((target_len, source_len), dtype=np.float64)
     for k in range(target_len):
         start = (k * source_len) // target_len
         end = -((-(k + 1) * source_len) // target_len)  # ceil division
         mat[k, start:end] = 1.0 / (end - start)
+    mat = mat.astype(dtype)
+    mat.flags.writeable = False
     return mat
 
 
@@ -106,7 +109,7 @@ def alignment_targets(y_true: np.ndarray, schedule: list[int]) -> list[np.ndarra
     for g in schedule:
         if g > horizon:
             raise ValueError(f"granularity {g} exceeds horizon {horizon}")
-        mat = _pool_matrix(horizon, g).astype(y_true.dtype)
+        mat = _pool_matrix(horizon, g, y_true.dtype)
         targets.append((swapped @ mat.T).transpose(0, 2, 1))
     return targets
 

@@ -70,6 +70,26 @@ def test_missing_dataset_exits_2(tmp_path, capsys):
     assert "/nonexistent/etth1.csv" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind, message", [("directory", "not a regular file"),
+                                           ("latin-1", "not UTF-8 text")])
+def test_unreadable_dataset_exits_2(tmp_path, capsys, kind, message):
+    data = tmp_path / "data"
+    if kind == "directory":
+        data.mkdir()
+    else:
+        data.write_bytes("date,temp\n2020-01-01\xb0,1.0\n".encode("latin-1"))
+    cfg = tmp_path / "unreadable.cfg"
+    cfg.write_text(f"data.path = {data}\n"
+                   "model.lookback = 8\nmodel.horizon = 4\n"
+                   "model.patch_len = 4\nmodel.stride = 2\nmodel.heads = 2\n"
+                   f"out_dir = {tmp_path / 'o'}\n")
+    assert main(["train", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"{data}: {message}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_unknown_config_key_exits_2(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("model.depth = 4\n")

@@ -59,6 +59,20 @@ def test_load_csv_missing_path(tmp_path):
         load_csv(tmp_path / "nope.csv")
 
 
+def test_load_csv_directory(tmp_path):
+    with pytest.raises(DataError, match="not a regular file") as info:
+        load_csv(tmp_path)
+    assert str(tmp_path) in str(info.value)
+
+
+def test_load_csv_not_utf8(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes("date,temp\n2020-01-01,1.0\n2020-01-02\xb0,2.0\n".encode("latin-1"))
+    with pytest.raises(DataError, match="not UTF-8 text") as info:
+        load_csv(path)
+    assert str(path) in str(info.value)
+
+
 # ---------------------------------------------------------------------------
 # standardize
 
@@ -191,6 +205,13 @@ def test_window_batches_cover_everything():
         assert xb.shape[1:] == (5, 1) and yb.shape[1:] == (3, 1)
         seen += len(xb)
     assert seen == len(windows)
+
+
+@pytest.mark.parametrize("batch_size", [0, -3])
+def test_window_batches_reject_size_below_one(batch_size):
+    windows = make_windows(make_frame(np.arange(30, dtype=np.float32)), 5, 3)
+    with pytest.raises(ValueError, match=f"batch_size must be >= 1, got {batch_size}"):
+        list(windows.batches(batch_size))
 
 
 # ---------------------------------------------------------------------------

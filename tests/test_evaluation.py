@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
+from mdmixer import evaluation
+from mdmixer.config import ModelConfig
 from mdmixer.data import make_windows
-from mdmixer.evaluation import MetricRow, aggregate_seeds, evaluate, \
-    export_amwg, export_granularity_forecasts, mae, mse, read_amwg_csv, \
-    write_amwg_csv
+from mdmixer.evaluation import MetricRow, aggregate_seeds, eval_batch_size, \
+    evaluate, export_amwg, export_granularity_forecasts, mae, mse, \
+    read_amwg_csv, write_amwg_csv
 from mdmixer.model import forward, init_params
 
-from conftest import make_frame, rand_batch
+from conftest import TINY, make_frame, rand_batch
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +89,51 @@ def test_evaluate_empty_split_rejected(tiny_cfg):
                         targets=np.zeros((0, 4, 2), dtype=np.float32))
     with pytest.raises(ValueError, match="empty"):
         evaluate(init_params(tiny_cfg, 0), tiny_cfg, empty)
+
+
+@pytest.mark.parametrize("batch_size", [0, -3])
+def test_evaluate_rejects_batch_size_below_one(tiny_cfg, batch_size):
+    windows = make_windows(make_frame(np.zeros((20, 2))), 8, 4)
+    with pytest.raises(ValueError, match="batch_size must be >= 1"):
+        evaluate(init_params(tiny_cfg, 0), tiny_cfg, windows, batch_size=batch_size)
+
+
+@pytest.mark.parametrize("channels, size", [(1, 256), (7, 256), (8, 256),
+                                            (9, 227), (321, 6), (5000, 1)])
+def test_eval_batch_size_rule(channels, size):
+    assert eval_batch_size(channels) == size
+
+
+def _recording(monkeypatch, name, shapes):
+    original = getattr(evaluation, name)
+
+    def record(x, params, cfg):
+        shapes.append(x.shape)
+        return original(x, params, cfg)
+    monkeypatch.setattr(evaluation, name, record)
+
+
+def test_wide_inference_batches_are_bounded(monkeypatch):
+    cfg = ModelConfig(**{**TINY, "channels": 300})
+    params = init_params(cfg, 0)
+    rng = np.random.default_rng(9)
+    windows = make_windows(make_frame(rng.normal(size=(31, 300))), 8, 4)
+    assert len(windows) == 20
+    full = evaluate(params, cfg, windows, batch_size=len(windows))
+    gates = forward(windows.inputs, params, cfg).gate_weights.mean(axis=0)
+
+    shapes = []
+    _recording(monkeypatch, "predict", shapes)
+    row = evaluate(params, cfg, windows)
+    assert [s[0] for s in shapes] == [6, 6, 6, 2]
+    assert row.mse == pytest.approx(full.mse, rel=1e-6)
+    assert row.mae == pytest.approx(full.mae, rel=1e-6)
+
+    shapes = []
+    _recording(monkeypatch, "forward", shapes)
+    heatmap = export_amwg(params, cfg, windows.inputs)
+    assert [s[0] for s in shapes] == [6, 6, 6, 2]
+    np.testing.assert_allclose(heatmap, gates, rtol=1e-6)
 
 
 # ---------------------------------------------------------------------------

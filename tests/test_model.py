@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 from mdmixer.config import ConfigError, ModelConfig
 from mdmixer.model import CheckpointError, ParamSet, amwg, embed, forward, \
     fuse, granularity_schedule, init_params, load_checkpoint, mim, mlp, \
-    mpp_seasonal, param_layout, save_checkpoint, upsample
+    mpp_seasonal, param_layout, save_checkpoint, upsample, _interp_matrix
+from mdmixer.training import _pool_matrix
 
 from conftest import TINY, rand_batch
 
@@ -219,6 +220,38 @@ def test_upsample_endpoints():
         out = upsample(y, f)
         np.testing.assert_allclose(out[..., 0], y[..., 0], atol=1e-12)
         np.testing.assert_allclose(out[..., -1], y[..., -1], atol=1e-12)
+
+
+OPERATORS = ([(_interp_matrix, g_f) for g_f in ((12, 96), (1, 4), (7, 7), (90, 720))]
+             + [(_pool_matrix, f_g) for f_g in ((96, 12), (8, 3), (7, 7), (720, 90))])
+
+
+@pytest.mark.parametrize("builder, shape", OPERATORS)
+def test_cached_operator_is_read_only(builder, shape):
+    mat = builder(*shape, np.dtype(np.float32))
+    assert not mat.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        mat[0, 0] = 2.0
+    with pytest.raises(ValueError, match="read-only"):
+        mat.T[0, 0] = 2.0
+
+
+@pytest.mark.parametrize("builder, shape", OPERATORS)
+def test_cached_operator_per_dtype(builder, shape):
+    f32 = builder(*shape, np.dtype(np.float32))
+    f64 = builder(*shape, np.dtype(np.float64))
+    assert builder(*shape, np.dtype(np.float32)) is f32
+    assert builder(*shape, np.dtype(np.float64)) is f64
+    assert (f32.dtype, f64.dtype) == (np.float32, np.float64)
+
+
+@pytest.mark.parametrize("builder, shape", OPERATORS)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_cached_operator_is_float64_cast(builder, shape, dtype):
+    mat = builder(*shape, np.dtype(dtype))
+    want = builder.__wrapped__(*shape, np.float64).astype(dtype)
+    assert mat.dtype == dtype and mat.shape == want.shape
+    assert mat.tobytes() == want.tobytes()
 
 
 def test_fuse_equal_heads_double():
