@@ -4,7 +4,6 @@ writer every run file goes through, and the interpretability exports
 
 from __future__ import annotations
 
-import csv
 from dataclasses import astuple, dataclass
 from pathlib import Path
 
@@ -160,14 +159,6 @@ def write_amwg_csv(path: str | Path, heatmap: np.ndarray):
     channels = heatmap.shape[1]
     write_lines(path, [",".join(f"channel_{c}" for c in range(channels))]
                 + [csv_line(row) for row in heatmap])
-
-
-def read_amwg_csv(path: str | Path) -> np.ndarray:
-    with Path(path).open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)  # header
-        rows = [[float(cell) for cell in row] for row in reader if row]
-    return np.asarray(rows, dtype=np.float64)
 
 
 def export_granularity_forecasts(output: ForecastOutput,

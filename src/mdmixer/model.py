@@ -304,10 +304,8 @@ def amwg_backward(d_fused: np.ndarray, upsampled: list[np.ndarray], saved,
     return d_in[:, :c, None, None], d_in[:, c:, None, None]
 
 
-@lru_cache(maxsize=128)
-def _interp_matrix(source_len: int, target_len: int, dtype) -> np.ndarray:
-    """(G x F) endpoint-aligned linear-interpolation matrix, computed in
-    float64 and cast once to ``dtype``; read-only, since it is cached.
+def _interp_matrix(source_len: int, target_len: int) -> np.ndarray:
+    """(G x F) endpoint-aligned linear-interpolation matrix, in float64.
 
     Built so that G == F gives the exact identity and both endpoints are
     copied through unchanged.
@@ -329,19 +327,60 @@ def _interp_matrix(source_len: int, target_len: int, dtype) -> np.ndarray:
                 frac = s - k
                 mat[k, j] = 1.0 - frac
                 mat[k + 1, j] = frac
-    mat = mat.astype(dtype)
-    mat.flags.writeable = False
     return mat
+
+
+# output columns per block of a banded operator: an operator of a horizon up
+# to 96 is one block, so its product is the dense one, bit for bit
+BAND_WIDTH = 96
+
+
+@lru_cache(maxsize=256)
+def band_blocks(build, lengths: tuple[int, int], dtype,
+                transpose: bool = False) -> tuple[tuple[int, int, np.ndarray], ...]:
+    """The float64 matrix ``build(*lengths)`` (or its transpose) as blocks
+    of ``BAND_WIDTH`` output columns, each cut to the contiguous input rows
+    that hold its nonzeros, cast once to ``dtype``; read-only, since they
+    are cached. Each entry is (first input row, first output column, block).
+
+    Interpolation and pooling touch a band of inputs per output, so the
+    blocks skip the zeros a dense product multiplies; a matrix of at most
+    ``BAND_WIDTH`` columns is one block, the whole matrix.
+    """
+    mat = build(*lengths)
+    if transpose:
+        mat = mat.T
+    blocks = []
+    for n0 in range(0, mat.shape[1], BAND_WIDTH):
+        cols = mat[:, n0:n0 + BAND_WIDTH]
+        rows = np.flatnonzero(cols.any(axis=1))
+        # astype keeps the memory order: a transpose stays column-major
+        block = cols[rows[0]:rows[-1] + 1].astype(dtype)
+        block.flags.writeable = False
+        blocks.append((int(rows[0]), n0, block))
+    return tuple(blocks)
+
+
+def band_matmul(x: np.ndarray, blocks) -> np.ndarray:
+    """``x @ M`` over the last axis, from M's ``band_blocks``."""
+    _, last, block = blocks[-1]
+    out = np.empty((*x.shape[:-1], last + block.shape[1]), dtype=x.dtype)
+    for k0, n0, block in blocks:
+        rows, cols = block.shape
+        np.matmul(x[..., k0:k0 + rows], block, out=out[..., n0:n0 + cols])
+    return out
 
 
 def upsample(y: np.ndarray, target_len: int) -> np.ndarray:
     """Stretch (B x C x G) to (B x C x F) by endpoint-aligned linear
     interpolation; exact identity when G == F."""
-    return y @ _interp_matrix(y.shape[-1], target_len, y.dtype)
+    return band_matmul(y, band_blocks(_interp_matrix, (y.shape[-1], target_len),
+                                      y.dtype))
 
 
 def upsample_backward(d_up: np.ndarray, source_len: int) -> np.ndarray:
-    return d_up @ _interp_matrix(source_len, d_up.shape[-1], d_up.dtype).T
+    return band_matmul(d_up, band_blocks(
+        _interp_matrix, (source_len, d_up.shape[-1]), d_up.dtype, transpose=True))
 
 
 def fuse(upsampled: list[np.ndarray], weights: np.ndarray) -> np.ndarray:
@@ -484,11 +523,6 @@ def save_checkpoint(path: str | Path, params: ParamSet):
         fh.write(manifest.encode("utf-8"))
         for blob in blobs:
             fh.write(blob)
-
-
-def read_checkpoint_manifest(path: str | Path) -> dict[str, tuple[int, ...]]:
-    """Tensor name -> shape, without loading the blobs."""
-    return {name: shape for name, shape, _ in _parse_manifest(Path(path))[0]}
 
 
 def load_checkpoint(path: str | Path) -> ParamSet:

@@ -28,9 +28,6 @@ class DecomposedWindow:
 @dataclass
 class PatchSet:
     patches: np.ndarray  # (B, C, N, P)
-    patch_len: int
-    stride: int
-    count: int
 
 
 def instance_normalize(x: np.ndarray) -> tuple[np.ndarray, InstanceStats]:
@@ -82,4 +79,4 @@ def patch(x: np.ndarray, patch_len: int, stride: int) -> PatchSet:
     for j in range(count):
         seg = padded[:, j * stride:j * stride + patch_len, :]  # (B, P, C)
         patches[:, :, j, :] = seg.transpose(0, 2, 1)
-    return PatchSet(patches=patches, patch_len=patch_len, stride=stride, count=count)
+    return PatchSet(patches=patches)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import astuple, dataclass
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -22,8 +21,8 @@ from .baselines import baseline_backward, baseline_forward, \
 from .config import BaselineConfig, ModelConfig, TrainSettings, config_echo
 from .data import WindowBatch
 from .evaluation import csv_line, evaluate, write_lines
-from .model import ParamSet, forward, forward_with_context, init_params, \
-    model_backward
+from .model import ParamSet, band_blocks, band_matmul, forward, \
+    forward_with_context, init_params, model_backward
 
 
 class TrainingDiverged(RuntimeError):
@@ -85,18 +84,14 @@ def main_loss(y: np.ndarray, y_true: np.ndarray) -> float:
     return float(np.abs(y - y_true).mean(dtype=np.float64))
 
 
-@lru_cache(maxsize=128)
-def _pool_matrix(source_len: int, target_len: int, dtype) -> np.ndarray:
-    """(G x F) adaptive average pooling: bin k averages source indices
-    [floor(k*F/G), ceil((k+1)*F/G)). Computed in float64 and cast once to
-    ``dtype``; read-only, since it is cached."""
+def _pool_matrix(source_len: int, target_len: int) -> np.ndarray:
+    """(G x F) adaptive average pooling, in float64: bin k averages source
+    indices [floor(k*F/G), ceil((k+1)*F/G))."""
     mat = np.zeros((target_len, source_len), dtype=np.float64)
     for k in range(target_len):
         start = (k * source_len) // target_len
         end = -((-(k + 1) * source_len) // target_len)  # ceil division
         mat[k, start:end] = 1.0 / (end - start)
-    mat = mat.astype(dtype)
-    mat.flags.writeable = False
     return mat
 
 
@@ -109,8 +104,9 @@ def alignment_targets(y_true: np.ndarray, schedule: list[int]) -> list[np.ndarra
     for g in schedule:
         if g > horizon:
             raise ValueError(f"granularity {g} exceeds horizon {horizon}")
-        mat = _pool_matrix(horizon, g, y_true.dtype)
-        targets.append((swapped @ mat.T).transpose(0, 2, 1))
+        blocks = band_blocks(_pool_matrix, (horizon, g), y_true.dtype,
+                             transpose=True)
+        targets.append(band_matmul(swapped, blocks).transpose(0, 2, 1))
     return targets
 
 

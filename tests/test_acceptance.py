@@ -113,7 +113,7 @@ def test_criterion_2_identity_suite():
             t = int(rng.integers(4, 240))
             p = int(rng.integers(1, t + 1))
             s = int(rng.integers(1, t + 1))
-            assert patch(np.zeros((1, t, 1)), p, s).count == (t - p) // s + 2
+            assert patch(np.zeros((1, t, 1)), p, s).patches.shape[2] == (t - p) // s + 2
 
         # gate weights form a simplex over the head axis
         cfg = ModelConfig(**TINY)

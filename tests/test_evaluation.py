@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from mdmixer.config import ModelConfig
 from mdmixer.data import make_windows
 from mdmixer.evaluation import MetricRow, aggregate_seeds, eval_batch_size, \
     evaluate, export_amwg, export_granularity_forecasts, mae, mse, \
-    read_amwg_csv, write_amwg_csv
+    write_amwg_csv
 from mdmixer.model import forward, init_params
 
 from conftest import TINY, make_frame, rand_batch
@@ -194,6 +196,14 @@ def test_export_amwg_columns_are_simplex(tiny_cfg):
     assert heatmap.shape == (2, 2)
     assert heatmap.min() >= 0
     np.testing.assert_allclose(heatmap.sum(axis=0), 1.0, atol=1e-5)
+
+
+def read_amwg_csv(path) -> np.ndarray:
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader)  # header
+        rows = [[float(cell) for cell in row] for row in reader if row]
+    return np.asarray(rows, dtype=np.float64)
 
 
 def test_amwg_csv_round_trip(tmp_path, tiny_cfg):

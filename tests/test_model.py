@@ -1,14 +1,18 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mdmixer.config import ConfigError, ModelConfig
-from mdmixer.model import CheckpointError, ParamSet, amwg, embed, forward, \
-    fuse, granularity_schedule, init_params, load_checkpoint, mim, mlp, \
-    mpp_seasonal, param_layout, save_checkpoint, upsample, _interp_matrix
+from mdmixer.model import CheckpointError, ParamSet, amwg, band_blocks, \
+    embed, forward, fuse, granularity_schedule, init_params, load_checkpoint, \
+    mim, mlp, mpp_seasonal, param_layout, save_checkpoint, upsample, \
+    upsample_backward, _interp_matrix, _parse_manifest
 from mdmixer.training import _pool_matrix
 
-from conftest import TINY, rand_batch
+from conftest import HORIZONS, TINY, assert_banded_matches_dense, \
+    head_lengths, rand_batch
 
 
 def zeroed_offsets(params: ParamSet) -> ParamSet:
@@ -224,34 +228,59 @@ def test_upsample_endpoints():
 
 OPERATORS = ([(_interp_matrix, g_f) for g_f in ((12, 96), (1, 4), (7, 7), (90, 720))]
              + [(_pool_matrix, f_g) for f_g in ((96, 12), (8, 3), (7, 7), (720, 90))])
+TRANSPOSES = (False, True)
 
 
 @pytest.mark.parametrize("builder, shape", OPERATORS)
 def test_cached_operator_is_read_only(builder, shape):
-    mat = builder(*shape, np.dtype(np.float32))
-    assert not mat.flags.writeable
-    with pytest.raises(ValueError, match="read-only"):
-        mat[0, 0] = 2.0
-    with pytest.raises(ValueError, match="read-only"):
-        mat.T[0, 0] = 2.0
+    for transpose in TRANSPOSES:
+        for _, _, block in band_blocks(builder, shape, np.dtype(np.float32),
+                                       transpose):
+            assert not block.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                block[0, 0] = 2.0
+            with pytest.raises(ValueError, match="read-only"):
+                block.T[0, 0] = 2.0
 
 
 @pytest.mark.parametrize("builder, shape", OPERATORS)
 def test_cached_operator_per_dtype(builder, shape):
-    f32 = builder(*shape, np.dtype(np.float32))
-    f64 = builder(*shape, np.dtype(np.float64))
-    assert builder(*shape, np.dtype(np.float32)) is f32
-    assert builder(*shape, np.dtype(np.float64)) is f64
-    assert (f32.dtype, f64.dtype) == (np.float32, np.float64)
+    for transpose in TRANSPOSES:
+        f32 = band_blocks(builder, shape, np.dtype(np.float32), transpose)
+        f64 = band_blocks(builder, shape, np.dtype(np.float64), transpose)
+        assert band_blocks(builder, shape, np.dtype(np.float32), transpose) is f32
+        assert band_blocks(builder, shape, np.dtype(np.float64), transpose) is f64
+        assert {b.dtype for _, _, b in f32} == {np.dtype(np.float32)}
+        assert {b.dtype for _, _, b in f64} == {np.dtype(np.float64)}
 
 
 @pytest.mark.parametrize("builder, shape", OPERATORS)
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_cached_operator_is_float64_cast(builder, shape, dtype):
-    mat = builder(*shape, np.dtype(dtype))
-    want = builder.__wrapped__(*shape, np.float64).astype(dtype)
-    assert mat.dtype == dtype and mat.shape == want.shape
-    assert mat.tobytes() == want.tobytes()
+    """The blocks tile the float64 build cast to ``dtype`` bit for bit,
+    and nothing they leave out is nonzero."""
+    for transpose in TRANSPOSES:
+        dense = builder(*shape)
+        want = (dense.T if transpose else dense).astype(dtype)
+        assembled = np.zeros_like(want)
+        for k0, n0, block in band_blocks(builder, shape, np.dtype(dtype), transpose):
+            rows, cols = block.shape
+            assert block.tobytes() == want[k0:k0 + rows, n0:n0 + cols].tobytes()
+            assembled[k0:k0 + rows, n0:n0 + cols] = block
+        assert assembled.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("f", HORIZONS)
+def test_upsample_matches_dense(f, dtype):
+    rng = np.random.default_rng(f)
+    for g in head_lengths(f):
+        mat = _interp_matrix(g, f).astype(dtype)
+        y = rng.normal(size=(2, 3, g)).astype(dtype)
+        assert_banded_matches_dense(upsample(y, f), y, mat, f"G={g}")
+        d_up = rng.normal(size=(2, 3, f)).astype(dtype)
+        assert_banded_matches_dense(upsample_backward(d_up, g), d_up, mat.T,
+                                    f"reverse, G={g}")
 
 
 def test_fuse_equal_heads_double():
@@ -432,8 +461,12 @@ def test_forward_dtype_consistency(tiny_cfg):
 # checkpoints
 
 
+def read_checkpoint_manifest(path) -> dict[str, tuple[int, ...]]:
+    """Tensor name -> shape, without loading the blobs."""
+    return {name: shape for name, shape, _ in _parse_manifest(Path(path))[0]}
+
+
 def test_checkpoint_round_trip(tmp_path, tiny_cfg):
-    from mdmixer.model import read_checkpoint_manifest
     params = init_params(tiny_cfg, 9)
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, params)

@@ -126,8 +126,7 @@ def test_decompose_channel_permutation():
 
 def test_patch_default_geometry():
     out = patch(np.ones((1, 96, 1), dtype=np.float32), patch_len=32, stride=16)
-    assert out.count == 6                       # (96-32)//16 + 2
-    assert out.patches.shape == (1, 1, 6, 32)
+    assert out.patches.shape == (1, 1, 6, 32)              # (96-32)//16 + 2 patches
     # padded length 112: the last patch covers [80, 112) -> 16 real + 16 zeros
     np.testing.assert_array_equal(out.patches[0, 0, 5, :16], np.ones(16))
     np.testing.assert_array_equal(out.patches[0, 0, 5, 16:], np.zeros(16))
@@ -136,7 +135,7 @@ def test_patch_default_geometry():
 def test_patch_start_indices():
     x = np.arange(8, dtype=np.float32)[None, :, None]
     out = patch(x, patch_len=4, stride=2)
-    assert out.count == 4
+    assert out.patches.shape[2] == 4
     for j, start in enumerate((0, 2, 4, 6)):
         expected = [start + k if start + k < 8 else 0.0 for k in range(4)]
         np.testing.assert_array_equal(out.patches[0, 0, j], expected)
@@ -145,7 +144,7 @@ def test_patch_start_indices():
 def test_patch_full_window_boundary():
     x = np.arange(1, 6, dtype=np.float32)[None, :, None]
     out = patch(x, patch_len=5, stride=5)
-    assert out.count == 2
+    assert out.patches.shape[2] == 2
     np.testing.assert_array_equal(out.patches[0, 0, 0], [1, 2, 3, 4, 5])
     np.testing.assert_array_equal(out.patches[0, 0, 1], np.zeros(5))
 
@@ -161,11 +160,12 @@ def test_patch_coverage():
     rng = np.random.default_rng(7)
     for t, p, s in ((96, 32, 16), (20, 7, 3), (11, 4, 4), (8, 8, 1)):
         x = rng.normal(size=(2, t, 3))
-        out = patch(x, p, s)
-        pieces = [out.patches[:, :, j, :s] for j in range(out.count - 1)]
-        pieces.append(out.patches[:, :, out.count - 1, :])
+        patches = patch(x, p, s).patches
+        count = patches.shape[2]
+        pieces = [patches[:, :, j, :s] for j in range(count - 1)]
+        pieces.append(patches[:, :, count - 1, :])
         rebuilt = np.concatenate(pieces, axis=2)
-        padded_len = (out.count - 1) * s + p
+        padded_len = (count - 1) * s + p
         padded = np.zeros((2, 3, padded_len))
         padded[:, :, :t] = x.transpose(0, 2, 1)
         np.testing.assert_array_equal(rebuilt, padded)
@@ -184,4 +184,4 @@ def test_patch_count_formula_randomized():
             count += 1
             start += s
         count += 1
-        assert out.count == count == (t - p) // s + 2
+        assert out.patches.shape[2] == count == (t - p) // s + 2

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,11 +7,13 @@ from mdmixer.config import BaselineConfig, ModelConfig, SynthChannel, \
     TrainSettings
 from mdmixer.data import chronological_split, make_windows, standardize, \
     synth_multiscale, SplitSpec
-from mdmixer.model import ForecastOutput, forward, init_params
+from mdmixer.model import ForecastOutput, ParamSet, forward, init_params
 from mdmixer.training import TrainingDiverged, adamw_step, alignment_targets, \
-    backward, gradcheck, init_optimizer, main_loss, total_loss, train
+    backward, gradcheck, init_optimizer, main_loss, total_loss, train, \
+    _pool_matrix
 
-from conftest import TINY, rand_batch
+from conftest import HORIZONS, TINY, assert_banded_matches_dense, \
+    head_lengths, rand_batch
 
 
 # ---------------------------------------------------------------------------
@@ -58,6 +62,18 @@ def test_alignment_targets_identity():
     y = rng.normal(size=(3, 8, 2))
     out = alignment_targets(y, [8])
     np.testing.assert_allclose(out[0], y, atol=1e-12)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("f", HORIZONS)
+def test_alignment_targets_match_dense(f, dtype):
+    rng = np.random.default_rng(f)
+    y = rng.normal(size=(2, f, 3)).astype(dtype)
+    swapped = y.transpose(0, 2, 1)
+    schedule = head_lengths(f)
+    for g, target in zip(schedule, alignment_targets(y, schedule)):
+        assert_banded_matches_dense(target.transpose(0, 2, 1), swapped,
+                                    _pool_matrix(f, g).astype(dtype).T, f"G={g}")
 
 
 def _fake_output(final, per_gran, heads):
@@ -234,6 +250,35 @@ def test_gradcheck_alpha_variants(tiny_cfg):
 ])
 def test_gradcheck_exotic_geometries(kw):
     assert gradcheck(ModelConfig(**kw), seed=0).passed
+
+
+def test_directional_gradient_at_long_horizon():
+    """<grad L, v> of the default model at F=720, C=7 on B=4 windows, in
+    float64, against central differences along one seeded unit direction v
+    at steps h and h/10; it passes when either quotient agrees within 1e-4.
+    The per-entry gradchecks run horizons too short to split the banded
+    upsampling and pooling operators into several blocks; this one does."""
+    cfg = ModelConfig(lookback=96, horizon=720, channels=7)
+    rng = np.random.default_rng(720)
+    params = init_params(cfg, 0, dtype=np.float64)
+    x = rng.normal(size=(4, cfg.lookback, cfg.channels))
+    y = rng.normal(size=(4, cfg.horizon, cfg.channels))
+    grads, _ = backward(x, y, params, cfg)
+    direction = {n: rng.standard_normal(a.shape) for n, a in params.items()}
+    norm = math.sqrt(sum(float(np.square(v).sum()) for v in direction.values()))
+    analytic = sum(float((grads[n] * v).sum()) for n, v in direction.items()) / norm
+
+    def loss_at(step):
+        shifted = ParamSet({n: a + (step / norm) * direction[n]
+                            for n, a in params.items()})
+        return total_loss(forward(x, shifted, cfg), y, cfg).total
+
+    errors = []
+    for h in (1e-5, 1e-6):
+        numeric = (loss_at(h) - loss_at(-h)) / (2.0 * h)
+        errors.append(abs(numeric - analytic)
+                      / max(abs(numeric), abs(analytic), 1e-8))
+    assert min(errors) < 1e-4, (analytic, errors)
 
 
 # ---------------------------------------------------------------------------
