@@ -251,7 +251,9 @@ def mpp_seasonal(u: np.ndarray, params: ParamSet,
 def mim(z_list: list[np.ndarray],
         mixers: list[tuple[np.ndarray, np.ndarray]] | None) -> list[np.ndarray]:
     """Coarse-to-fine accumulation: each head adds a linear map of the
-    previous (coarser) mixed output. ``mixers`` holds one (weight, bias)
+    previous (coarser) mixed output, ``(z + mixed @ weight) + bias``, run
+    by ``linear`` as one GEMM over all B·C rows (a stacked (B, C, G)
+    matmul would be B small ones). ``mixers`` holds one (weight, bias)
     pair per head from the second on; None bypasses mixing entirely."""
     if mixers is None:
         return list(z_list)
@@ -259,7 +261,7 @@ def mim(z_list: list[np.ndarray],
         raise ValueError(f"expected {len(z_list) - 1} mixers, got {len(mixers)}")
     mixed = [z_list[0]]
     for z, (weight, bias) in zip(z_list[1:], mixers):
-        mixed.append(z + mixed[-1] @ weight + bias)
+        mixed.append(linear(mixed[-1], weight, bias, residual=z))
     return mixed
 
 

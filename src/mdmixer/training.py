@@ -193,23 +193,61 @@ def init_optimizer(params: ParamSet, settings: TrainSettings) -> OptimizerState:
                           weight_decay=settings.weight_decay)
 
 
+# elements per block of the in-place update: a block and its two scratch
+# buffers stay in cache, where whole-tensor temporaries at F=720 do not
+ADAMW_BLOCK = 65536
+
+
 def adamw_step(params: ParamSet, grads: ParamSet,
                state: OptimizerState) -> tuple[ParamSet, OptimizerState]:
-    """One bias-corrected AdamW update; params and state update in place."""
+    """One bias-corrected AdamW update; params and state update in place.
+
+    Each tensor is updated in blocks of ``ADAMW_BLOCK`` elements through two
+    scratch buffers. Every block runs the per-tensor expression's ufuncs in
+    its order with its scalar operands, so the result is that expression's,
+    bit for bit:
+
+        m = beta1 * m + (1 - beta1) * g
+        v = beta2 * v + (1 - beta2) * g**2
+        p -= lr * ((m / bc1) / (sqrt(v / bc2) + eps) + weight_decay * p)
+    """
     state.step += 1
-    bc1 = 1.0 - state.beta1 ** state.step
-    bc2 = 1.0 - state.beta2 ** state.step
+    # a Python float operand is cast to the array's dtype on every call;
+    # casting once gives the same values
+    b1, a1, b2, a2, bc1, bc2, eps, decay, lr = (params.dtype.type(c) for c in (
+        state.beta1, 1.0 - state.beta1, state.beta2, 1.0 - state.beta2,
+        1.0 - state.beta1 ** state.step, 1.0 - state.beta2 ** state.step,
+        state.eps, state.weight_decay, state.lr))
+    t1_block, t2_block = np.empty((2, ADAMW_BLOCK), dtype=params.dtype)
     for name, grad in grads.items():
-        m = state.m[name]
-        v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * grad
-        v *= state.beta2
-        v += (1.0 - state.beta2) * np.square(grad)
-        update = (m / bc1) / (np.sqrt(v / bc2) + state.eps)
-        if state.weight_decay:
-            update = update + state.weight_decay * params[name]
-        params[name] -= state.lr * update
+        p_all, m_all, v_all = params[name], state.m[name], state.v[name]
+        # the blocks are flat views, which a tensor's update must write through
+        if not (p_all.flags.c_contiguous and m_all.flags.c_contiguous
+                and v_all.flags.c_contiguous):
+            raise ValueError(f"adamw_step: {name!r} is not C-contiguous")
+        p_all, m_all, v_all = p_all.reshape(-1), m_all.reshape(-1), v_all.reshape(-1)
+        g_all = grad.reshape(-1)
+        for k0 in range(0, p_all.size, ADAMW_BLOCK):
+            k1 = k0 + ADAMW_BLOCK
+            p, g, m, v = p_all[k0:k1], g_all[k0:k1], m_all[k0:k1], v_all[k0:k1]
+            t1, t2 = t1_block[:p.size], t2_block[:p.size]
+            m *= b1
+            np.multiply(g, a1, out=t1)
+            m += t1
+            v *= b2
+            np.square(g, out=t1)
+            t1 *= a2
+            v += t1
+            np.divide(m, bc1, out=t1)
+            np.divide(v, bc2, out=t2)
+            np.sqrt(t2, out=t2)
+            t2 += eps
+            t1 /= t2
+            if decay:
+                np.multiply(p, decay, out=t2)
+                t1 += t2
+            t1 *= lr
+            p -= t1
     return params, state
 
 

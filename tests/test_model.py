@@ -169,6 +169,25 @@ def test_mim_hand_example():
     np.testing.assert_array_equal(out[1], [[[2.0, 2.0, 2.0, 2.0]]])
 
 
+@pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
+def test_mim_matches_stacked_matmul(dtype, tol):
+    # oracle: the stacked (B, C, G) expression mim used to evaluate, one
+    # small matmul per window; mim now runs one GEMM over all B*C rows
+    schedule = granularity_schedule(720, 8)
+    rng = np.random.default_rng(11)
+    z = [rng.normal(size=(32, 7, g)).astype(dtype) for g in schedule]
+    mixers = [(rng.normal(size=(g0, g1)).astype(dtype) / np.sqrt(g0),
+               rng.normal(size=g1).astype(dtype))
+              for g0, g1 in zip(schedule, schedule[1:])]
+    want = [z[0]]
+    for zi, (weight, bias) in zip(z[1:], mixers):
+        want.append(zi + want[-1] @ weight + bias)
+    got = mim(z, mixers)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.dtype == w.dtype
+        assert np.linalg.norm(g - w) <= tol * np.linalg.norm(w)
+
+
 def test_amwg_uniform_for_constant_logits(tiny_cfg):
     params = init_params(tiny_cfg, 0)
     params["gate.fc2.weight"][:] = 0.0

@@ -8,9 +8,9 @@ from mdmixer.config import BaselineConfig, ModelConfig, SynthChannel, \
 from mdmixer.data import chronological_split, make_windows, standardize, \
     synth_multiscale, SplitSpec
 from mdmixer.model import ForecastOutput, ParamSet, forward, init_params
-from mdmixer.training import TrainingDiverged, adamw_step, alignment_targets, \
-    backward, gradcheck, init_optimizer, main_loss, total_loss, train, \
-    _pool_matrix
+from mdmixer.training import ADAMW_BLOCK, TrainingDiverged, adamw_step, \
+    alignment_targets, backward, gradcheck, init_optimizer, main_loss, \
+    total_loss, train, _pool_matrix
 
 from conftest import HORIZONS, TINY, assert_banded_matches_dense, \
     head_lengths, rand_batch
@@ -172,6 +172,64 @@ def test_adamw_lr_zero_is_identity(tiny_cfg):
     adamw_step(params, grads, state)
     for name in params.names():
         np.testing.assert_array_equal(params[name], before[name])
+
+
+def _adamw_reference(params, grads, state):
+    # the per-tensor update adamw_step replaced, with whole-tensor temporaries
+    state.step += 1
+    bc1 = 1.0 - state.beta1 ** state.step
+    bc2 = 1.0 - state.beta2 ** state.step
+    for name, grad in grads.items():
+        m = state.m[name]
+        v = state.v[name]
+        m *= state.beta1
+        m += (1.0 - state.beta1) * grad
+        v *= state.beta2
+        v += (1.0 - state.beta2) * np.square(grad)
+        update = (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        if state.weight_decay:
+            update = update + state.weight_decay * params[name]
+        params[name] -= state.lr * update
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adamw_blocks_match_per_tensor_update(dtype, weight_decay):
+    # tensors smaller than one block, of exactly one block and of 2.5
+    # blocks, so block edges fall inside and at the end of a tensor
+    block = ADAMW_BLOCK
+    shapes = {"small": (3, 5), "one_block": (block,),
+              "two_and_a_half": (5, block // 2)}
+    rng = np.random.default_rng(12)
+    params = ParamSet({k: rng.normal(size=s).astype(dtype)
+                       for k, s in shapes.items()})
+    ref_params = params.copy()
+    settings = TrainSettings(lr=1e-2, weight_decay=weight_decay, seed=0)
+    state = init_optimizer(params, settings)
+    ref_state = init_optimizer(ref_params, settings)
+    for _ in range(3):
+        grads = ParamSet({k: rng.normal(size=s).astype(dtype)
+                          for k, s in shapes.items()})
+        # a gradient may be a strided view; only its values are read
+        grads["small"] = rng.normal(size=(5, 3)).astype(dtype).T
+        grads_before = grads.copy()
+        adamw_step(params, grads, state)
+        _adamw_reference(ref_params, grads, ref_state)
+        for name in shapes:
+            assert grads[name].tobytes() == grads_before[name].tobytes(), name
+            for got, want in ((params, ref_params), (state.m, ref_state.m),
+                              (state.v, ref_state.v)):
+                assert got[name].dtype == dtype
+                assert got[name].tobytes() == want[name].tobytes(), name
+    assert state.step == ref_state.step == 3
+
+
+def test_adamw_rejects_non_contiguous_tensor():
+    # the update writes through flat views, which a strided tensor cannot give
+    params = ParamSet({"w": np.ones((4, 3)).T})
+    state = init_optimizer(params, TrainSettings(lr=0.1, seed=0))
+    with pytest.raises(ValueError, match="'w' is not C-contiguous"):
+        adamw_step(params, ParamSet({"w": np.ones((3, 4))}), state)
 
 
 # ---------------------------------------------------------------------------
