@@ -7,6 +7,13 @@ heads at increasing output lengths, coarse-to-fine iterative mixing, a
 channel-adaptive gating network, linear-interpolation upsampling and a
 residual weighted fusion, with the instance scale restored at the end.
 
+The fusion runs at the heads' own lengths. The forecast is the mean of
+the upsampled heads plus their gate-weighted sum; upsampling is linear
+per row, so that is sum_i U_i((1/H + w_i) * y_i): each head is scaled at
+its length G_i, then upsampled and added into one horizon-length output,
+and its reverse reads the same G_i-length products. The per-head series
+are restored to the input scale only when ``per_granularity`` is read.
+
 Everything is plain numpy. Each stage's hand-derived reverse sits next to
 its forward and is built from the same ``linear``/``mlp`` ops the
 baselines use; ``training`` supplies the loss gradients.
@@ -16,13 +23,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
 
 from .config import ConfigError, ModelConfig
-from .preprocess import decompose, instance_denormalize, \
+from .preprocess import InstanceStats, decompose, instance_denormalize, \
     instance_normalize, patch
 
 CHECKPOINT_MAGIC = "mdmixer-checkpoint v1"
@@ -78,15 +85,24 @@ class ParamSet:
 class ForecastOutput:
     """Forecast plus the intermediates that explain it.
 
-    Both series are in the scale of the input window (instance stats
-    restored): ``final`` (B x F x C) and ``per_granularity[i]`` (B x G_i x C);
-    ``gate_weights`` are the per-channel head weights used by the fusion
-    (B x H x C, simplex over the head axis).
+    ``final`` (B x F x C) is in the scale of the input window (instance
+    stats restored); ``gate_weights`` are the per-channel head weights used
+    by the fusion (B x H x C, simplex over the head axis). ``heads`` holds
+    each head's forecast in the normalized space (B x C x G_i) and
+    ``stats`` the instance stats that restore it.
     """
 
     final: np.ndarray
-    per_granularity: list[np.ndarray]
     gate_weights: np.ndarray
+    heads: list[np.ndarray]
+    stats: InstanceStats
+
+    @cached_property
+    def per_granularity(self) -> list[np.ndarray]:
+        """Each head's forecast in the input window's scale (B x G_i x C),
+        restored on first read: inference reads only ``final``."""
+        return [instance_denormalize(y.transpose(0, 2, 1), self.stats)
+                for y in self.heads]
 
 
 def granularity_schedule(horizon: int, heads: int) -> list[int]:
@@ -290,15 +306,13 @@ def amwg(xd_s: np.ndarray, xd_t: np.ndarray, params: ParamSet, heads: int):
     return weights, (gate_in, act, weights, xd_s.shape[2] * xd_s.shape[3])
 
 
-def amwg_backward(d_fused: np.ndarray, upsampled: list[np.ndarray], saved,
-                  params: ParamSet, grads: ParamSet) -> tuple[np.ndarray, np.ndarray]:
-    """Reverse of ``amwg``, from the gradient at the fused output; returns
-    its gradient at each branch's embeddings as (B x C x 1 x 1), constant
-    over the pooled axes."""
+def amwg_backward(d_weights: np.ndarray, saved, params: ParamSet,
+                  grads: ParamSet) -> tuple[np.ndarray, np.ndarray]:
+    """Reverse of ``amwg``, from the gradient at its weights (B x H x C);
+    returns its gradient at each branch's embeddings as (B x C x 1 x 1),
+    constant over the pooled axes."""
     gate_in, act, weights, pooled = saved
     b, heads, c = weights.shape
-    # fuse adds weights[:, i] * upsampled[i]
-    d_weights = np.stack([(d_fused * y).sum(axis=2) for y in upsampled], axis=1)
     # softmax over the head axis
     inner = (d_weights * weights).sum(axis=1, keepdims=True)
     d_logits = (weights * (d_weights - inner)).reshape(b, heads * c)
@@ -385,28 +399,33 @@ def upsample_backward(d_up: np.ndarray, source_len: int) -> np.ndarray:
         _interp_matrix, (source_len, d_up.shape[-1]), d_up.dtype, transpose=True))
 
 
-def fuse(upsampled: list[np.ndarray], weights: np.ndarray) -> np.ndarray:
+def fuse(heads: list[np.ndarray], weights: np.ndarray, horizon: int) -> np.ndarray:
     """Weighted sum of the upsampled heads plus their plain average as a
-    residual. ``weights`` is (B x H x C), broadcast over the output axis."""
-    if len(upsampled) != weights.shape[1]:
-        raise ValueError(f"{len(upsampled)} head outputs but weights cover "
+    residual, at ``horizon``. ``weights`` is (B x H x C): head i (B x C x
+    G_i) is scaled by ``1/H + weights[:, i]`` at its own length, then
+    upsampled and added into the one (B x C x F) output."""
+    if len(heads) != weights.shape[1]:
+        raise ValueError(f"{len(heads)} head outputs but weights cover "
                          f"{weights.shape[1]} heads")
-    mean = upsampled[0].copy()
-    for y in upsampled[1:]:
-        mean += y
-    mean /= len(upsampled)
-    out = mean
-    for i, y in enumerate(upsampled):
-        out = out + weights[:, i, :][:, :, None] * y
+    scale = weights + 1.0 / len(heads)
+    out = upsample(scale[:, 0, :, None] * heads[0], horizon)
+    for i, y in enumerate(heads[1:], start=1):
+        out += upsample(scale[:, i, :, None] * y, horizon)
     return out
 
 
-def fuse_backward(d_fused: np.ndarray, weights: np.ndarray) -> list[np.ndarray]:
-    """Reverse of ``fuse`` at each upsampled head (the gradient at the
-    weights belongs to the gate's reverse)."""
-    heads = weights.shape[1]
-    return [(weights[:, i, :][:, :, None] + 1.0 / heads) * d_fused
-            for i in range(heads)]
+def fuse_backward(d_fused: np.ndarray, heads: list[np.ndarray],
+                  weights: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """Reverse of ``fuse``: the gradient at each head (B x C x G_i) and at
+    the weights (B x H x C), both from the head's ``upsample_backward``."""
+    scale = weights + 1.0 / len(heads)
+    d_heads = []
+    d_weights = np.empty_like(weights)
+    for i, y in enumerate(heads):
+        v = upsample_backward(d_fused, y.shape[-1])
+        d_weights[:, i] = (v * y).sum(axis=2)
+        d_heads.append(scale[:, i, :, None] * v)
+    return d_heads, d_weights
 
 
 # ---------------------------------------------------------------------------
@@ -450,23 +469,20 @@ def forward_with_context(x: np.ndarray, params: ParamSet,
                 for z, br in ((z_s, "s"), (z_t, "t")))
 
     y_sum = [a + bb for a, bb in zip(y_s, y_t)]
-    upsampled = [upsample(y, cfg.horizon) for y in y_sum]
     # without the gate the fusion runs with zero weights: the residual
     # mean alone, which is what uniform reported weights describe
     weights = np.zeros((b, heads, c), dtype=dtype)
     gate_saved = None
     if cfg.amwg_enabled:
         weights, gate_saved = amwg(xd_s, xd_t, params, heads)
-    fused = fuse(upsampled, weights)
-
-    def restore(y):
-        return instance_denormalize(y.transpose(0, 2, 1), stats)
+    fused = fuse(y_sum, weights, cfg.horizon)
 
     output = ForecastOutput(
-        final=restore(fused), per_granularity=[restore(y) for y in y_sum],
+        final=instance_denormalize(fused.transpose(0, 2, 1), stats),
         gate_weights=weights if cfg.amwg_enabled
-        else np.full((b, heads, c), 1.0 / heads, dtype=dtype))
-    saved = (stats, patches, u_s, u_t, trend_acts, y_s, y_t, upsampled,
+        else np.full((b, heads, c), 1.0 / heads, dtype=dtype),
+        heads=y_sum, stats=stats)
+    saved = (stats, patches, u_s, u_t, trend_acts, y_s, y_t, y_sum,
              weights, gate_saved)
     return output, saved
 
@@ -477,20 +493,20 @@ def model_backward(d_final: np.ndarray, d_granularity: list[np.ndarray],
     ``final`` (B x F x C) and each ``per_granularity`` series (B x G_i x C).
     Instance statistics depend only on the inputs, never on parameters, so
     they enter the reverse pass as constants."""
-    (stats, patches, u_s, u_t, trend_acts, y_s, y_t, upsampled, weights,
+    (stats, patches, u_s, u_t, trend_acts, y_s, y_t, y_sum, weights,
      gate_saved) = saved
     grads = params.zeros_like()
     std = stats.std[:, None, :]
     d_fused = (d_final * std).transpose(0, 2, 1).astype(params.dtype, copy=False)
-    d_up = fuse_backward(d_fused, weights)
+    d_heads, d_weights = fuse_backward(d_fused, y_sum, weights)
     d_gate = (0.0, 0.0)
     if gate_saved is not None:
-        d_gate = amwg_backward(d_fused, upsampled, gate_saved, params, grads)
+        d_gate = amwg_backward(d_weights, gate_saved, params, grads)
 
     # each per-granularity forecast is the sum of both branches; the
     # alignment loss reaches it directly
-    d_y = [upsample_backward(d, y.shape[-1]) + (d_g * std).transpose(0, 2, 1)
-           for d, y, d_g in zip(d_up, y_s, d_granularity)]
+    d_y = [d + (d_g * std).transpose(0, 2, 1)
+           for d, d_g in zip(d_heads, d_granularity)]
     d_z_s, d_z_t = (mim_backward(d_y, y, params, grads, br) if cfg.mim_enabled
                     else d_y for y, br in ((y_s, "s"), (y_t, "t")))
 
@@ -536,7 +552,8 @@ def load_checkpoint(path: str | Path) -> ParamSet:
         if end > len(blob):
             raise CheckpointError(f"{path}: blob truncated for tensor {name!r}")
         try:
-            arr = np.frombuffer(blob[offset:end], dtype="<f4").reshape(shape).copy()
+            # the one copy: the new array owns its data and is writeable
+            arr = np.frombuffer(blob, "<f4", count, offset).reshape(shape).copy()
         except ValueError as exc:  # more dimensions than numpy supports
             raise CheckpointError(f"{path}: tensor {name!r} has unusable shape: "
                                   f"{exc}") from None
@@ -562,7 +579,8 @@ def _parse_manifest(path: Path):
     cut = data.find(marker, newline)
     if cut < 0:
         raise CheckpointError(f"{path}: manifest missing 'end' terminator")
-    blob = data[cut + len(marker):]
+    # a view: slicing the bytes would copy the whole blob
+    blob = memoryview(data)[cut + len(marker):]
     entries = []
     for raw in data[newline + 1:cut + 1].splitlines():
         try:

@@ -134,7 +134,7 @@ def test_criterion_2_identity_suite():
         from mdmixer.model import fuse
         a = rng.normal(size=(2, 3, 96))
         weights = rng.dirichlet(np.ones(8), size=(2, 3)).transpose(0, 2, 1)
-        assert np.abs(fuse([a] * 8, weights) - 2 * a).max() < 1e-12
+        assert np.abs(fuse([a] * 8, weights, 96) - 2 * a).max() < 1e-12
 
         # zero alignment weight collapses the total loss onto the main loss
         cfg0 = ModelConfig(**{**TINY, "align_weight": 0.0})

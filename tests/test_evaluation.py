@@ -3,13 +3,14 @@ import csv
 import numpy as np
 import pytest
 
-from mdmixer import evaluation
+from mdmixer import evaluation, model
 from mdmixer.config import ModelConfig
 from mdmixer.data import make_windows
 from mdmixer.evaluation import MetricRow, aggregate_seeds, eval_batch_size, \
-    evaluate, export_amwg, export_granularity_forecasts, mae, mse, \
+    evaluate, export_amwg, export_granularity_forecasts, mae, mse, predict, \
     write_amwg_csv
 from mdmixer.model import forward, init_params
+from mdmixer.preprocess import instance_denormalize
 
 from conftest import TINY, make_frame, rand_batch
 
@@ -113,6 +114,35 @@ def _recording(monkeypatch, name, shapes):
         shapes.append(x.shape)
         return original(x, params, cfg)
     monkeypatch.setattr(evaluation, name, record)
+
+
+def test_inference_restores_only_the_final_forecast(tiny_cfg, monkeypatch):
+    params = init_params(tiny_cfg, 1)
+    windows = make_windows(make_frame(np.random.default_rng(10).normal(
+        size=(40, 2))), 8, 4)
+    restored = []
+    original = model.instance_denormalize
+
+    def record(y, stats):
+        restored.append(y.shape)
+        return original(y, stats)
+    monkeypatch.setattr(model, "instance_denormalize", record)
+    evaluate(params, tiny_cfg, windows, batch_size=7)
+    assert restored == [(7, 4, 2)] * 4 + [(1, 4, 2)]
+    restored.clear()
+    predict(windows.inputs[:3], params, tiny_cfg)
+    assert restored == [(3, 4, 2)]
+
+
+def test_per_granularity_restores_like_an_eager_forward(tiny_cfg):
+    x = rand_batch(np.random.default_rng(11), 3, 8, 2)
+    out, saved = model.forward_with_context(x, init_params(tiny_cfg, 2), tiny_cfg)
+    y_s, y_t = saved[5], saved[6]  # each head's seasonal and trend branch
+    eager = [instance_denormalize((a + b).transpose(0, 2, 1), out.stats)
+             for a, b in zip(y_s, y_t, strict=True)]
+    assert len(out.per_granularity) == len(eager)
+    for got, want in zip(out.per_granularity, eager):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_wide_inference_batches_are_bounded(monkeypatch):

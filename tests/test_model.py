@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mdmixer.config import ConfigError, ModelConfig
+from mdmixer.config import ConfigError, ModelConfig, TrainSettings
 from mdmixer.model import CheckpointError, ParamSet, amwg, band_blocks, \
-    embed, forward, fuse, granularity_schedule, init_params, load_checkpoint, \
-    mim, mlp, mpp_seasonal, param_layout, save_checkpoint, upsample, \
-    upsample_backward, _interp_matrix, _parse_manifest
-from mdmixer.training import _pool_matrix
+    embed, forward, fuse, fuse_backward, granularity_schedule, init_params, \
+    load_checkpoint, mim, mlp, mpp_seasonal, param_layout, save_checkpoint, \
+    upsample, upsample_backward, _interp_matrix, _parse_manifest
+from mdmixer.training import _pool_matrix, adamw_step, init_optimizer
 
 from conftest import HORIZONS, TINY, assert_banded_matches_dense, \
     head_lengths, rand_batch
@@ -306,13 +306,13 @@ def test_fuse_equal_heads_double():
     rng = np.random.default_rng(10)
     a = rng.normal(size=(2, 3, 6))
     weights = rng.dirichlet(np.ones(4), size=(2, 3)).transpose(0, 2, 1)
-    out = fuse([a, a, a, a], weights)
+    out = fuse([a, a, a, a], weights, 6)
     np.testing.assert_allclose(out, 2 * a, atol=1e-12)
 
 
 def test_fuse_single_head():
     y = np.random.default_rng(11).normal(size=(1, 2, 4))
-    out = fuse([y], np.ones((1, 1, 2)))
+    out = fuse([y], np.ones((1, 1, 2)), 4)
     np.testing.assert_allclose(out, 2 * y)
 
 
@@ -321,8 +321,64 @@ def test_fuse_hard_selection():
     a, b = rng.normal(size=(2, 1, 2, 4))
     weights = np.zeros((1, 2, 2))
     weights[:, 0, :] = 1.0
-    out = fuse([a, b], weights)
+    out = fuse([a, b], weights, 4)
     np.testing.assert_allclose(out, a + (a + b) / 2)
+
+
+def fuse_at_horizon(heads, weights, horizon):
+    """Reference fusion and its reverse at the horizon: every head
+    upsampled first, then their mean plus their weighted sum; the reverse
+    upsamples back each head's scaled gradient, and the weights' gradient
+    reduces the product with each upsampled head over the horizon."""
+    upsampled = [upsample(y, horizon) for y in heads]
+    mean = upsampled[0].copy()
+    for y in upsampled[1:]:
+        mean += y
+    mean /= len(upsampled)
+    fused = mean
+    for i, y in enumerate(upsampled):
+        fused = fused + weights[:, i, :][:, :, None] * y
+
+    def reverse(d_fused):
+        d_heads = [upsample_backward((weights[:, i, :][:, :, None] + 1.0 / len(heads))
+                                     * d_fused, y.shape[-1])
+                   for i, y in enumerate(heads)]
+        d_weights = np.stack([(d_fused * y).sum(axis=2) for y in upsampled], axis=1)
+        return d_heads, d_weights
+    return fused, reverse
+
+
+def norm_rel(got, want) -> float:
+    want = np.asarray(want, dtype=np.float64)
+    return float(np.linalg.norm(np.asarray(got, dtype=np.float64) - want)
+                 / np.linalg.norm(want))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("gated", [False, True], ids=["zero_weights", "dirichlet"])
+@pytest.mark.parametrize("heads", [1, 2, 8])
+@pytest.mark.parametrize("f", [96, 720])
+def test_fuse_matches_fusion_at_horizon(f, heads, gated, dtype):
+    rng = np.random.default_rng(f + heads)
+    b, c = 4, 3
+    ys = [rng.normal(size=(b, c, g)).astype(dtype)
+          for g in granularity_schedule(f, heads)]
+    weights = np.zeros((b, heads, c), dtype=dtype)
+    if gated:
+        weights = rng.dirichlet(np.ones(heads), size=(b, c)).transpose(0, 2, 1) \
+            .astype(dtype)
+    d_fused = rng.normal(size=(b, c, f)).astype(dtype)
+    want, reverse = fuse_at_horizon(ys, weights, f)
+    want_d_heads, want_d_weights = reverse(d_fused)
+    fused = fuse(ys, weights, f)
+    d_heads, d_weights = fuse_backward(d_fused, ys, weights)
+    tol = 1e-6 if dtype == np.float32 else 1e-12
+    assert fused.dtype == dtype and fused.shape == want.shape
+    assert norm_rel(fused, want) <= tol
+    assert d_weights.dtype == dtype and norm_rel(d_weights, want_d_weights) <= tol
+    for got, ref in zip(d_heads, want_d_heads, strict=True):
+        assert got.dtype == dtype and got.shape == ref.shape
+        assert norm_rel(got, ref) <= tol
 
 
 # ---------------------------------------------------------------------------
@@ -496,6 +552,19 @@ def test_checkpoint_round_trip(tmp_path, tiny_cfg):
         assert loaded[name].dtype == np.float32
     manifest = read_checkpoint_manifest(path)
     assert manifest == {n: tuple(a.shape) for n, a in params.items()}
+
+
+def test_checkpoint_tensors_own_writeable_data(tmp_path, tiny_cfg):
+    # adamw_step updates each tensor in place through flat views
+    params = init_params(tiny_cfg, 9)
+    save_checkpoint(tmp_path / "model.ckpt", params)
+    loaded = load_checkpoint(tmp_path / "model.ckpt")
+    for name, arr in loaded.items():
+        assert arr.flags.owndata and arr.flags.c_contiguous \
+            and arr.flags.writeable, name
+    before = loaded.copy()
+    adamw_step(loaded, loaded.copy(), init_optimizer(loaded, TrainSettings()))
+    assert not np.array_equal(loaded["embed_s.weight"], before["embed_s.weight"])
 
 
 def test_checkpoint_shape_mismatch(tmp_path, tiny_cfg):

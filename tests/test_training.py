@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from mdmixer.config import BaselineConfig, ModelConfig, SynthChannel, \
     TrainSettings
 from mdmixer.data import chronological_split, make_windows, standardize, \
     synth_multiscale, SplitSpec
-from mdmixer.model import ForecastOutput, ParamSet, forward, init_params
+from mdmixer.model import ParamSet, forward, init_params
 from mdmixer.training import ADAMW_BLOCK, TrainingDiverged, adamw_step, \
     alignment_targets, backward, gradcheck, init_optimizer, main_loss, \
     total_loss, train, _pool_matrix
@@ -76,10 +77,9 @@ def test_alignment_targets_match_dense(f, dtype):
                                     _pool_matrix(f, g).astype(dtype).T, f"G={g}")
 
 
-def _fake_output(final, per_gran, heads):
-    b, _, c = final.shape
-    return ForecastOutput(final=final, per_granularity=per_gran,
-                          gate_weights=np.full((b, heads, c), 1.0 / heads))
+def _fake_output(final, per_gran):
+    """What the loss reads of a forward's output."""
+    return SimpleNamespace(final=final, per_granularity=per_gran)
 
 
 def test_total_loss_alpha_zero_collapse():
@@ -97,7 +97,7 @@ def test_total_loss_zero_at_perfect():
     y = rand_batch(rng, 2, 4, 2)
     cfg = ModelConfig(**{**TINY, "align_weight": 1.0})
     per_gran = alignment_targets(y, [2, 4])
-    breakdown = total_loss(_fake_output(y, per_gran, 2), y, cfg)
+    breakdown = total_loss(_fake_output(y, per_gran), y, cfg)
     assert breakdown.total == 0.0
     assert breakdown.align_per_head == [0.0, 0.0]
 
@@ -109,7 +109,7 @@ def test_total_loss_single_head_doubles_main():
     rng = np.random.default_rng(5)
     final = rand_batch(rng, 2, 4, 2)
     y = rand_batch(rng, 2, 4, 2)
-    breakdown = total_loss(_fake_output(final, [final], 1), y, cfg)
+    breakdown = total_loss(_fake_output(final, [final]), y, cfg)
     assert breakdown.total == pytest.approx(2 * breakdown.main)
 
 
