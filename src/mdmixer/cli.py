@@ -94,9 +94,8 @@ def _train_one_seed(run_cfg: RunConfig, seed: int, out_dir: str) -> MetricRow:
 def cmd_train(args) -> int:
     run_cfg = _load_config(args)
     out_dir = Path(args.out or run_cfg.out_dir)
-    frame = _load_frame(run_cfg)  # fail fast on data problems
-    run_cfg.resolve_model(frame.num_channels)
-    _write_config_echo(run_cfg, frame.num_channels, out_dir)
+    cfg, _ = _prepare(run_cfg)  # fail fast on data and split problems
+    _write_config_echo(run_cfg, cfg.channels, out_dir)
 
     rows: list[MetricRow] = []
     if args.parallel_seeds and len(run_cfg.seeds) > 1:

@@ -40,45 +40,61 @@ class CheckpointError(ValueError):
 
 
 class ParamSet:
-    """Ordered, named collection of learnable tensors.
-
-    Iteration order is the canonical layout order, which fixes the RNG
-    draw order at init and the blob order in checkpoints.
-    """
+    """Ordered, named tensors, each a C-contiguous view of one 1-D buffer,
+    ``flat``, in layout order, which fixes the RNG draw order at init and
+    the blob order in checkpoints. The constructor copies the tensors into
+    a new buffer; each whole-set operation is one call on ``flat``."""
 
     def __init__(self, tensors: dict[str, np.ndarray]):
-        self._tensors = dict(tensors)
+        arena = ParamSet._over(np.concatenate([np.ravel(a) for a in tensors.values()]),
+                               {name: np.shape(a) for name, a in tensors.items()})
+        self.flat, self._views = arena.flat, arena._views
+
+    @staticmethod
+    def _over(flat: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> "ParamSet":
+        """A set whose tensors are views of ``flat`` itself, no copy."""
+        params, offset = ParamSet.__new__(ParamSet), 0
+        params.flat, params._views = flat, {}
+        for name, shape in shapes.items():
+            params._views[name] = flat[offset:offset + math.prod(shape)].reshape(shape)
+            offset += math.prod(shape)
+        return params
 
     def __getitem__(self, name: str) -> np.ndarray:
-        return self._tensors[name]
+        return self._views[name]
 
     def __setitem__(self, name: str, value: np.ndarray):
-        self._tensors[name] = value
+        view = self._views[name]
+        if value is not view:  # ``params[name] += ...`` wrote in place
+            if np.shape(value) != view.shape:
+                raise ValueError(f"tensor {name!r} has shape {view.shape}, "
+                                 f"not {np.shape(value)}")
+            view[...] = value
 
     def __contains__(self, name: str) -> bool:
-        return name in self._tensors
-
-    def __len__(self) -> int:
-        return len(self._tensors)
+        return name in self._views
 
     def names(self) -> list[str]:
-        return list(self._tensors)
+        return list(self._views)
 
     def items(self):
-        return self._tensors.items()
+        return self._views.items()
+
+    def layout(self) -> dict[str, tuple[int, ...]]:
+        return {name: view.shape for name, view in self._views.items()}
 
     def copy(self) -> "ParamSet":
-        return ParamSet({k: v.copy() for k, v in self._tensors.items()})
+        return ParamSet._over(self.flat.copy(), self.layout())
 
     def astype(self, dtype) -> "ParamSet":
-        return ParamSet({k: v.astype(dtype) for k, v in self._tensors.items()})
+        return ParamSet._over(self.flat.astype(dtype), self.layout())
 
     def zeros_like(self) -> "ParamSet":
-        return ParamSet({k: np.zeros_like(v) for k, v in self._tensors.items()})
+        return ParamSet._over(np.zeros_like(self.flat), self.layout())
 
     @property
     def dtype(self):
-        return next(iter(self._tensors.values())).dtype
+        return self.flat.dtype
 
 
 @dataclass
@@ -157,16 +173,16 @@ def init_layout(layout: dict[str, tuple[int, ...]], seed: int,
     """Seeded init in layout order: weights uniform in +-1/sqrt(fan_in),
     biases zero, positional encodings (``pos_*``) N(0, 0.02^2)."""
     rng = np.random.default_rng(seed)
-    tensors: dict[str, np.ndarray] = {}
+    # drawn straight into the set's buffer; biases keep its zeros
+    params = ParamSet._over(np.zeros(sum(map(math.prod, layout.values())), dtype),
+                            layout)
     for name, shape in layout.items():
         if name.startswith("pos_"):
-            tensors[name] = rng.normal(0.0, 0.02, size=shape).astype(dtype)
-        elif name.endswith(".bias"):
-            tensors[name] = np.zeros(shape, dtype=dtype)
-        else:
+            params[name] = rng.normal(0.0, 0.02, size=shape)
+        elif not name.endswith(".bias"):
             bound = 1.0 / math.sqrt(shape[0])
-            tensors[name] = rng.uniform(-bound, bound, size=shape).astype(dtype)
-    return ParamSet(tensors)
+            params[name] = rng.uniform(-bound, bound, size=shape)
+    return params
 
 
 def check_params_match(params: ParamSet, cfg: ModelConfig | object,
@@ -520,27 +536,21 @@ def model_backward(d_final: np.ndarray, d_granularity: list[np.ndarray],
 
 
 # ---------------------------------------------------------------------------
-# checkpoint format: text manifest (name, shape, byte offset) + one
-# little-endian float32 blob per tensor, concatenated after the manifest.
+# checkpoint format: text manifest (name, shape, byte offset) + the
+# parameter buffer as little-endian float32 in layout order after it.
 
 
 def save_checkpoint(path: str | Path, params: ParamSet):
-    records = []
-    blobs = []
-    offset = 0
+    records, offset = [], 0
     for name, arr in params.items():
-        blob = np.ascontiguousarray(arr, dtype="<f4").tobytes()
-        shape = "x".join(str(dim) for dim in arr.shape)
-        records.append(f"{name} {shape} {offset}")
-        blobs.append(blob)
-        offset += len(blob)
+        records.append(f"{name} {'x'.join(map(str, arr.shape))} {offset}")
+        offset += 4 * arr.size
     manifest = CHECKPOINT_MAGIC + "\n" + "".join(r + "\n" for r in records) + "end\n"
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("wb") as fh:
         fh.write(manifest.encode("utf-8"))
-        for blob in blobs:
-            fh.write(blob)
+        fh.write(params.flat.astype("<f4", copy=False))
 
 
 def load_checkpoint(path: str | Path) -> ParamSet:
@@ -552,15 +562,14 @@ def load_checkpoint(path: str | Path) -> ParamSet:
         if end > len(blob):
             raise CheckpointError(f"{path}: blob truncated for tensor {name!r}")
         try:
-            # the one copy: the new array owns its data and is writeable
-            arr = np.frombuffer(blob, "<f4", count, offset).reshape(shape).copy()
+            arr = np.frombuffer(blob, "<f4", count, offset).reshape(shape)
         except ValueError as exc:  # more dimensions than numpy supports
             raise CheckpointError(f"{path}: tensor {name!r} has unusable shape: "
                                   f"{exc}") from None
         if not np.isfinite(arr).all():
             raise CheckpointError(f"{path}: tensor {name!r} has non-finite values")
         tensors[name] = arr
-    return ParamSet(tensors)
+    return ParamSet(tensors)  # the one copy, into a buffer of its own
 
 
 def _parse_manifest(path: Path):

@@ -202,15 +202,18 @@ def adamw_step(params: ParamSet, grads: ParamSet,
                state: OptimizerState) -> tuple[ParamSet, OptimizerState]:
     """One bias-corrected AdamW update; params and state update in place.
 
-    Each tensor is updated in blocks of ``ADAMW_BLOCK`` elements through two
-    scratch buffers. Every block runs the per-tensor expression's ufuncs in
-    its order with its scalar operands, so the result is that expression's,
-    bit for bit:
+    The update runs over the sets' flat buffers in blocks of
+    ``ADAMW_BLOCK`` elements through two scratch buffers. Every block runs
+    the per-tensor expression's ufuncs in its order with its scalar
+    operands, so the result is that expression's, bit for bit:
 
         m = beta1 * m + (1 - beta1) * g
         v = beta2 * v + (1 - beta2) * g**2
         p -= lr * ((m / bc1) / (sqrt(v / bc2) + eps) + weight_decay * p)
     """
+    if list(grads.layout().items()) != list(params.layout().items()):
+        raise ValueError("adamw_step: grads and params differ in names, "
+                         "order or shapes")
     state.step += 1
     # a Python float operand is cast to the array's dtype on every call;
     # casting once gives the same values
@@ -219,35 +222,27 @@ def adamw_step(params: ParamSet, grads: ParamSet,
         1.0 - state.beta1 ** state.step, 1.0 - state.beta2 ** state.step,
         state.eps, state.weight_decay, state.lr))
     t1_block, t2_block = np.empty((2, ADAMW_BLOCK), dtype=params.dtype)
-    for name, grad in grads.items():
-        p_all, m_all, v_all = params[name], state.m[name], state.v[name]
-        # the blocks are flat views, which a tensor's update must write through
-        if not (p_all.flags.c_contiguous and m_all.flags.c_contiguous
-                and v_all.flags.c_contiguous):
-            raise ValueError(f"adamw_step: {name!r} is not C-contiguous")
-        p_all, m_all, v_all = p_all.reshape(-1), m_all.reshape(-1), v_all.reshape(-1)
-        g_all = grad.reshape(-1)
-        for k0 in range(0, p_all.size, ADAMW_BLOCK):
-            k1 = k0 + ADAMW_BLOCK
-            p, g, m, v = p_all[k0:k1], g_all[k0:k1], m_all[k0:k1], v_all[k0:k1]
-            t1, t2 = t1_block[:p.size], t2_block[:p.size]
-            m *= b1
-            np.multiply(g, a1, out=t1)
-            m += t1
-            v *= b2
-            np.square(g, out=t1)
-            t1 *= a2
-            v += t1
-            np.divide(m, bc1, out=t1)
-            np.divide(v, bc2, out=t2)
-            np.sqrt(t2, out=t2)
-            t2 += eps
-            t1 /= t2
-            if decay:
-                np.multiply(p, decay, out=t2)
-                t1 += t2
-            t1 *= lr
-            p -= t1
+    for k0 in range(0, params.flat.size, ADAMW_BLOCK):
+        p, g, m, v = (arr[k0:k0 + ADAMW_BLOCK] for arr in (
+            params.flat, grads.flat, state.m.flat, state.v.flat))
+        t1, t2 = t1_block[:p.size], t2_block[:p.size]
+        m *= b1
+        np.multiply(g, a1, out=t1)
+        m += t1
+        v *= b2
+        np.square(g, out=t1)
+        t1 *= a2
+        v += t1
+        np.divide(m, bc1, out=t1)
+        np.divide(v, bc2, out=t2)
+        np.sqrt(t2, out=t2)
+        t2 += eps
+        t1 /= t2
+        if decay:
+            np.multiply(p, decay, out=t2)
+            t1 += t2
+        t1 *= lr
+        p -= t1
     return params, state
 
 
@@ -359,22 +354,17 @@ def gradcheck(cfg: ModelConfig | BaselineConfig, seed: int, h: float = 1e-5,
     y_true = rng.normal(0.0, 1.0, size=(batch, cfg.horizon, cfg.channels))
 
     grads, _ = backward(x, y_true, params, cfg)
-    max_rel = 0.0
-    worst = ""
-    for name in params.names():
-        flat = params[name].reshape(-1)
-        grad_flat = grads[name].reshape(-1)
-        for idx in range(flat.size):
-            saved = flat[idx]
-            flat[idx] = saved + h
-            plus = _loss_value(x, y_true, params, cfg)
-            flat[idx] = saved - h
-            minus = _loss_value(x, y_true, params, cfg)
-            flat[idx] = saved
-            numeric = (plus - minus) / (2.0 * h)
-            analytic = grad_flat[idx]
-            rel = abs(numeric - analytic) / max(abs(numeric), abs(analytic), 1e-8)
-            if rel > max_rel:
-                max_rel = rel
-                worst = f"{name}[{idx}]"
+    entries = [f"{name}[{i}]" for name, arr in params.items() for i in range(arr.size)]
+    max_rel, worst = 0.0, ""
+    for idx, (entry, analytic) in enumerate(zip(entries, grads.flat)):
+        saved = params.flat[idx]
+        params.flat[idx] = saved + h
+        plus = _loss_value(x, y_true, params, cfg)
+        params.flat[idx] = saved - h
+        minus = _loss_value(x, y_true, params, cfg)
+        params.flat[idx] = saved
+        numeric = (plus - minus) / (2.0 * h)
+        rel = abs(numeric - analytic) / max(abs(numeric), abs(analytic), 1e-8)
+        if rel > max_rel:
+            max_rel, worst = rel, entry
     return GradCheckReport(max_rel_err=max_rel, worst_param=worst, tolerance=tol)

@@ -90,6 +90,20 @@ def test_unreadable_dataset_exits_2(tmp_path, capsys, kind, message):
     assert not (tmp_path / "o").exists()
 
 
+def test_train_split_too_short_exits_2_before_writing(tmp_path, capsys):
+    cfg = tmp_path / "short.cfg"
+    cfg.write_text("data.synth_length = 300\n"
+                   "data.synth_channels = 24:1.0:0.0:0.1\n"
+                   "model.lookback = 96\nmodel.horizon = 96\n"
+                   f"out_dir = {tmp_path / 'o'}\n")
+    assert main(["train", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "train segment too short: 180 rows cannot fit lookback 96 + " \
+        "horizon 96" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_unknown_config_key_exits_2(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("model.depth = 4\n")

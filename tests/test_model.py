@@ -79,6 +79,66 @@ def test_init_bounds_and_biases(tiny_cfg):
 
 
 # ---------------------------------------------------------------------------
+# parameter arena
+
+
+def test_tensors_tile_the_flat_buffer_in_layout_order(tiny_cfg):
+    params = init_params(tiny_cfg, 4)
+    assert params.flat.ndim == 1 and params.flat.flags.owndata
+    assert params.layout() == param_layout(tiny_cfg)
+    offset = 0
+    for name, arr in params.items():
+        assert arr.base is params.flat and arr.flags.c_contiguous, name
+        np.testing.assert_array_equal(
+            arr.reshape(-1), params.flat[offset:offset + arr.size])
+        offset += arr.size
+    assert offset == params.flat.size
+
+
+def test_constructor_copies_its_tensors():
+    w = np.arange(12.0).reshape(4, 3)
+    params = ParamSet({"w": w.T, "b": np.zeros(2)})
+    params["w"][0, 0] = 99.0
+    assert w[0, 0] == 0.0
+    np.testing.assert_array_equal(params["w"][:, 1:], w.T[:, 1:])
+    assert params.flat.size == 14 and params.dtype == np.float64
+
+
+@pytest.mark.parametrize("derive", [
+    lambda p: p.copy(), lambda p: p.astype(np.float64), lambda p: p.zeros_like()],
+    ids=["copy", "astype", "zeros_like"])
+def test_derived_set_has_its_own_buffer(tiny_cfg, derive):
+    params = init_params(tiny_cfg, 5)
+    before = params.flat.copy()
+    derived = derive(params)
+    assert derived.layout() == params.layout()
+    derived.flat[:] = 7.0
+    derived["embed_s.weight"][...] = -7.0
+    assert params.flat.tobytes() == before.tobytes()
+
+
+def test_setitem_writes_into_the_view():
+    params = ParamSet({"w": np.zeros((2, 3)), "b": np.zeros(3)})
+    view = params["w"]
+    params["w"] = np.ones((3, 2)).T
+    assert params["w"] is view and view.base is params.flat
+    np.testing.assert_array_equal(params.flat, [1.0] * 6 + [0.0] * 3)
+    params["b"] += 2.0  # in place, then assigned onto itself
+    np.testing.assert_array_equal(params["b"], [2.0, 2.0, 2.0])
+
+
+def test_setitem_rejects_unknown_name_and_new_shape():
+    params = ParamSet({"w": np.zeros((2, 3))})
+    with pytest.raises(KeyError, match="extra"):
+        params["extra"] = np.zeros(3)
+    with pytest.raises(ValueError, match=r"'w' has shape \(2, 3\), not \(3, 2\)"):
+        params["w"] = np.zeros((3, 2))
+    with pytest.raises(ValueError, match="'w'"):
+        params["w"] = np.zeros(6)
+    assert params.names() == ["w"] and not params.flat.any()
+
+
+# ---------------------------------------------------------------------------
 # stage ops
 
 
@@ -555,12 +615,14 @@ def test_checkpoint_round_trip(tmp_path, tiny_cfg):
 
 
 def test_checkpoint_tensors_own_writeable_data(tmp_path, tiny_cfg):
-    # adamw_step updates each tensor in place through flat views
+    # adamw_step updates the loaded set's flat buffer in place, which must
+    # be a copy of its own, not a view of the file's bytes
     params = init_params(tiny_cfg, 9)
     save_checkpoint(tmp_path / "model.ckpt", params)
     loaded = load_checkpoint(tmp_path / "model.ckpt")
+    assert loaded.flat.flags.owndata and loaded.flat.flags.writeable
     for name, arr in loaded.items():
-        assert arr.flags.owndata and arr.flags.c_contiguous \
+        assert arr.base is loaded.flat and arr.flags.c_contiguous \
             and arr.flags.writeable, name
     before = loaded.copy()
     adamw_step(loaded, loaded.copy(), init_optimizer(loaded, TrainSettings()))

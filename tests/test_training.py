@@ -9,8 +9,8 @@ from mdmixer.config import BaselineConfig, ModelConfig, SynthChannel, \
 from mdmixer.data import chronological_split, make_windows, standardize, \
     synth_multiscale, SplitSpec
 from mdmixer.model import ParamSet, forward, init_params
-from mdmixer.training import ADAMW_BLOCK, TrainingDiverged, adamw_step, \
-    alignment_targets, backward, gradcheck, init_optimizer, main_loss, \
+from mdmixer.training import ADAMW_BLOCK, OptimizerState, TrainingDiverged, \
+    adamw_step, alignment_targets, backward, gradcheck, init_optimizer, main_loss, \
     total_loss, train, _pool_matrix
 
 from conftest import HORIZONS, TINY, assert_banded_matches_dense, \
@@ -210,7 +210,7 @@ def test_adamw_blocks_match_per_tensor_update(dtype, weight_decay):
     for _ in range(3):
         grads = ParamSet({k: rng.normal(size=s).astype(dtype)
                           for k, s in shapes.items()})
-        # a gradient may be a strided view; only its values are read
+        # assigning a strided array writes its values into the set's view
         grads["small"] = rng.normal(size=(5, 3)).astype(dtype).T
         grads_before = grads.copy()
         adamw_step(params, grads, state)
@@ -224,12 +224,44 @@ def test_adamw_blocks_match_per_tensor_update(dtype, weight_decay):
     assert state.step == ref_state.step == 3
 
 
-def test_adamw_rejects_non_contiguous_tensor():
-    # the update writes through flat views, which a strided tensor cannot give
-    params = ParamSet({"w": np.ones((4, 3)).T})
+def test_adamw_updates_set_built_from_transposed_tensor():
+    # the constructor copies a strided tensor into the set's buffer, so the
+    # update of that buffer lands in params["w"]; the oracle runs on plain
+    # arrays
+    rng = np.random.default_rng(5)
+    w = rng.normal(size=(4, 3)).T
+    params = ParamSet({"w": w, "b": rng.normal(size=3)})
+    ref = {name: arr.copy() for name, arr in params.items()}
+    settings = TrainSettings(lr=0.1, weight_decay=0.01, seed=0)
+    state = init_optimizer(params, settings)
+    ref_state = OptimizerState(
+        m={n: np.zeros_like(a) for n, a in ref.items()},
+        v={n: np.zeros_like(a) for n, a in ref.items()},
+        step=0, lr=0.1, weight_decay=0.01)
+    for _ in range(2):
+        grads = ParamSet({"w": rng.normal(size=(4, 3)).T,
+                          "b": rng.normal(size=3)})
+        adamw_step(params, grads, state)
+        _adamw_reference(ref, grads, ref_state)
+    assert not np.array_equal(params["w"], w)
+    assert params["w"].base is params.flat
+    for name, want in ref.items():
+        assert params[name].tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("grads", [
+    {"b": np.zeros(3)},
+    {"w": np.zeros((3, 4)), "b": np.zeros(3), "c": np.zeros(1)},
+    {"b": np.zeros(3), "w": np.zeros((3, 4))},
+    {"w": np.zeros((4, 3)), "b": np.zeros(3)},
+    {"w": np.zeros(12), "b": np.zeros(3)},
+], ids=["missing", "extra", "order", "shape", "flattened"])
+def test_adamw_rejects_grads_of_another_layout(grads):
+    params = ParamSet({"w": np.ones((3, 4)), "b": np.ones(3)})
     state = init_optimizer(params, TrainSettings(lr=0.1, seed=0))
-    with pytest.raises(ValueError, match="'w' is not C-contiguous"):
-        adamw_step(params, ParamSet({"w": np.ones((3, 4))}), state)
+    with pytest.raises(ValueError, match="differ in names, order or shapes"):
+        adamw_step(params, ParamSet(grads), state)
+    assert state.step == 0 and (params.flat == 1.0).all()
 
 
 # ---------------------------------------------------------------------------
