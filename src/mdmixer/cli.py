@@ -37,8 +37,8 @@ def _load_frame(run_cfg: RunConfig) -> SeriesFrame:
 
 
 def _prepare(run_cfg: RunConfig):
-    """Load, split chronologically, standardize with train statistics, and
-    window every split."""
+    """Load, split chronologically and standardize with train statistics;
+    returns the model config and the three split frames."""
     frame = _load_frame(run_cfg)
     spec = SplitSpec(ratios=run_cfg.ratios, lookback=run_cfg.lookback,
                      horizon=run_cfg.horizon)
@@ -47,9 +47,7 @@ def _prepare(run_cfg: RunConfig):
     val_frame, _ = standardize(val_frame, stats)
     test_frame, _ = standardize(test_frame, stats)
     cfg = run_cfg.resolve_model(frame.num_channels)
-    windows = tuple(make_windows(f, run_cfg.lookback, run_cfg.horizon)
-                    for f in (train_frame, val_frame, test_frame))
-    return cfg, windows
+    return cfg, (train_frame, val_frame, test_frame)
 
 
 def _dataset_label(run_cfg: RunConfig) -> str:
@@ -77,10 +75,11 @@ def _write_config_echo(run_cfg: RunConfig, channels: int, out_dir: Path):
                 render_config(resolved).splitlines())
 
 
-def _train_one_seed(run_cfg: RunConfig, seed: int, out_dir: str) -> MetricRow:
-    """Train a single seed end to end; standalone so seeds can run in
-    separate processes."""
-    cfg, (train_w, val_w, test_w) = _prepare(run_cfg)
+def _train_one_seed(run_cfg: RunConfig, cfg, frames, seed: int, out_dir: str) -> MetricRow:
+    """Train one seed from ``_prepare``'s result; a seed's own process is sent
+    the split frames, which pickle far smaller than their window views."""
+    train_w, val_w, test_w = (make_windows(f, run_cfg.lookback, run_cfg.horizon)
+                              for f in frames)
     settings = dataclasses.replace(run_cfg.train, seed=seed)
     params, report = train(cfg, train_w, val_w, settings)
     out = Path(out_dir)
@@ -94,19 +93,19 @@ def _train_one_seed(run_cfg: RunConfig, seed: int, out_dir: str) -> MetricRow:
 def cmd_train(args) -> int:
     run_cfg = _load_config(args)
     out_dir = Path(args.out or run_cfg.out_dir)
-    cfg, _ = _prepare(run_cfg)  # fail fast on data and split problems
+    cfg, frames = _prepare(run_cfg)  # fail fast on data and split problems
     _write_config_echo(run_cfg, cfg.channels, out_dir)
 
     rows: list[MetricRow] = []
     if args.parallel_seeds and len(run_cfg.seeds) > 1:
         workers = min(len(run_cfg.seeds), os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_train_one_seed, run_cfg, seed, str(out_dir))
-                       for seed in run_cfg.seeds]
+            futures = [pool.submit(_train_one_seed, run_cfg, cfg, frames, seed,
+                                   str(out_dir)) for seed in run_cfg.seeds]
             rows = [f.result() for f in futures]
     else:
         for seed in run_cfg.seeds:
-            rows.append(_train_one_seed(run_cfg, seed, str(out_dir)))
+            rows.append(_train_one_seed(run_cfg, cfg, frames, seed, str(out_dir)))
     for row in rows:
         print(f"seed {row.seed}: test mse {row.mse:.6f} mae {row.mae:.6f}")
     write_metric_rows(out_dir / "metrics.csv", rows)
@@ -124,7 +123,8 @@ def _open_run(args, mdmixer_only: bool):
     Returns the run config, the model config, the test windows, the
     parameters and the output directory."""
     run_cfg = load_config(args.config)
-    cfg, (_, _, test_w) = _prepare(run_cfg)
+    cfg, (_, _, test_frame) = _prepare(run_cfg)
+    test_w = make_windows(test_frame, run_cfg.lookback, run_cfg.horizon)
     if mdmixer_only and not isinstance(cfg, ModelConfig):
         raise ConfigError(f"{args.command} needs model.kind = mdmixer")
     params = load_checkpoint(args.checkpoint)

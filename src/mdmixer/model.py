@@ -8,29 +8,30 @@ channel-adaptive gating network, linear-interpolation upsampling and a
 residual weighted fusion, with the instance scale restored at the end.
 
 The fusion runs at the heads' own lengths. The forecast is the mean of
-the upsampled heads plus their gate-weighted sum; upsampling is linear
-per row, so that is sum_i U_i((1/H + w_i) * y_i): each head is scaled at
-its length G_i, then upsampled and added into one horizon-length output,
-and its reverse reads the same G_i-length products. The per-head series
-are restored to the input scale only when ``per_granularity`` is read.
+the upsampled heads plus their gate-weighted sum, which by linearity is
+sum_i U_i((1/H + w_i) * y_i): each head is scaled at its length G_i, then
+upsampled and added into one horizon-length output, and its reverse reads
+the same products. The per-head series are restored to the input scale
+only when ``per_granularity`` is read.
 
-Everything is plain numpy. Each stage's hand-derived reverse sits next to
-its forward and is built from the same ``linear``/``mlp`` ops the
-baselines use; ``training`` supplies the loss gradients.
+Everything is plain numpy; upsampling and its reverse run as banded
+operators (``preprocess.band_matmul``). Each stage's hand-derived reverse
+sits next to its forward, built from the ``linear``/``mlp`` ops the
+baselines share; ``training`` supplies the loss gradients.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .config import ConfigError, ModelConfig
-from .preprocess import InstanceStats, decompose, instance_denormalize, \
-    instance_normalize, patch
+from .preprocess import InstanceStats, band_blocks, band_matmul, decompose, \
+    instance_denormalize, instance_normalize, patch
 
 CHECKPOINT_MAGIC = "mdmixer-checkpoint v1"
 
@@ -360,47 +361,6 @@ def _interp_matrix(source_len: int, target_len: int) -> np.ndarray:
                 mat[k, j] = 1.0 - frac
                 mat[k + 1, j] = frac
     return mat
-
-
-# output columns per block of a banded operator: an operator of a horizon up
-# to 96 is one block, so its product is the dense one, bit for bit
-BAND_WIDTH = 96
-
-
-@lru_cache(maxsize=256)
-def band_blocks(build, lengths: tuple[int, int], dtype,
-                transpose: bool = False) -> tuple[tuple[int, int, np.ndarray], ...]:
-    """The float64 matrix ``build(*lengths)`` (or its transpose) as blocks
-    of ``BAND_WIDTH`` output columns, each cut to the contiguous input rows
-    that hold its nonzeros, cast once to ``dtype``; read-only, since they
-    are cached. Each entry is (first input row, first output column, block).
-
-    Interpolation and pooling touch a band of inputs per output, so the
-    blocks skip the zeros a dense product multiplies; a matrix of at most
-    ``BAND_WIDTH`` columns is one block, the whole matrix.
-    """
-    mat = build(*lengths)
-    if transpose:
-        mat = mat.T
-    blocks = []
-    for n0 in range(0, mat.shape[1], BAND_WIDTH):
-        cols = mat[:, n0:n0 + BAND_WIDTH]
-        rows = np.flatnonzero(cols.any(axis=1))
-        # astype keeps the memory order: a transpose stays column-major
-        block = cols[rows[0]:rows[-1] + 1].astype(dtype)
-        block.flags.writeable = False
-        blocks.append((int(rows[0]), n0, block))
-    return tuple(blocks)
-
-
-def band_matmul(x: np.ndarray, blocks) -> np.ndarray:
-    """``x @ M`` over the last axis, from M's ``band_blocks``."""
-    _, last, block = blocks[-1]
-    out = np.empty((*x.shape[:-1], last + block.shape[1]), dtype=x.dtype)
-    for k0, n0, block in blocks:
-        rows, cols = block.shape
-        np.matmul(x[..., k0:k0 + rows], block, out=out[..., n0:n0 + cols])
-    return out
 
 
 def upsample(y: np.ndarray, target_len: int) -> np.ndarray:

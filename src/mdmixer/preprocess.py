@@ -1,12 +1,13 @@
-"""Non-learnable per-window transforms: instance normalization,
-moving-average trend/seasonal split, and patch extraction."""
+"""Non-learnable per-window transforms: instance normalization, the
+moving-average trend/seasonal split, patch extraction, and the banded
+operators that run fixed linear maps over time (here and in ``model``)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.ndimage import uniform_filter1d
 
 EPS = 1e-5  # instance std floor
 
@@ -47,15 +48,64 @@ def instance_denormalize(y: np.ndarray, stats: InstanceStats) -> np.ndarray:
     return y * stats.std[:, None, :] + stats.mean[:, None, :]
 
 
+# output columns per block: an operator with at most 96 outputs is one block
+BAND_WIDTH = 96
+
+
+@lru_cache(maxsize=256)
+def band_blocks(build, lengths: tuple[int, int], dtype,
+                transpose: bool = False) -> tuple[tuple[int, int, np.ndarray], ...]:
+    """The float64 matrix ``build(*lengths)`` (or its transpose) as blocks
+    of ``BAND_WIDTH`` output columns, each cut to the contiguous input rows
+    that hold its nonzeros, cast once to ``dtype``; read-only, since they
+    are cached. Each entry is (first input row, first output column, block).
+
+    Moving averages, interpolation and pooling touch a band of inputs per
+    output, so the blocks skip the zeros a dense product multiplies; a
+    matrix of at most ``BAND_WIDTH`` columns is one block, the whole matrix.
+    """
+    mat = build(*lengths)
+    if transpose:
+        mat = mat.T
+    blocks = []
+    for n0 in range(0, mat.shape[1], BAND_WIDTH):
+        cols = mat[:, n0:n0 + BAND_WIDTH]
+        rows = np.flatnonzero(cols.any(axis=1))
+        # astype keeps the memory order: a transpose stays column-major
+        block = cols[rows[0]:rows[-1] + 1].astype(dtype)
+        block.flags.writeable = False
+        blocks.append((int(rows[0]), n0, block))
+    return tuple(blocks)
+
+
+def band_matmul(x: np.ndarray, blocks) -> np.ndarray:
+    """``x @ M`` over the last axis, from M's ``band_blocks``."""
+    _, last, block = blocks[-1]
+    out = np.empty((*x.shape[:-1], last + block.shape[1]), dtype=x.dtype)
+    for k0, n0, block in blocks:
+        rows, cols = block.shape
+        np.matmul(x[..., k0:k0 + rows], block, out=out[..., n0:n0 + cols])
+    return out
+
+
+def _moving_average_matrix(length: int, kernel: int) -> np.ndarray:
+    """(T x T) moving average with replicate-edge padding, in float64: column
+    t averages rows clip(t - kernel//2 ... t + kernel//2, 0, T - 1); entry
+    (s, t) counts row s's padded positions [lo, hi) inside [t, t + kernel)."""
+    pos = np.arange(length)
+    lo = np.where(pos == 0, 0, pos + kernel // 2)
+    hi = np.where(pos == length - 1, length + kernel - 1, pos + kernel // 2 + 1)
+    counts = np.minimum(hi[:, None], pos + kernel) - np.maximum(lo[:, None], pos)
+    return np.maximum(counts, 0) / kernel
+
+
 def decompose(x: np.ndarray, kernel: int) -> DecomposedWindow:
     """Trend = centered moving average with replicate-edge padding (odd
-    kernel); seasonal = the residual, so trend + seasonal == x exactly."""
+    kernel), a banded operator; seasonal = the residual x - trend."""
     if kernel < 1 or kernel % 2 == 0:
         raise ValueError(f"kernel must be a positive odd integer, got {kernel}")
-    if kernel == 1:
-        trend = x.copy()
-    else:
-        trend = uniform_filter1d(x, size=kernel, axis=1, mode="nearest")
+    blocks = band_blocks(_moving_average_matrix, (x.shape[1], kernel), x.dtype)
+    trend = band_matmul(x.transpose(0, 2, 1), blocks).transpose(0, 2, 1)
     return DecomposedWindow(trend=trend, seasonal=x - trend)
 
 

@@ -21,8 +21,8 @@ from .baselines import baseline_backward, baseline_forward, \
 from .config import BaselineConfig, ModelConfig, TrainSettings, config_echo
 from .data import WindowBatch
 from .evaluation import csv_line, evaluate, write_lines
-from .model import ParamSet, band_blocks, band_matmul, forward, \
-    forward_with_context, init_params, model_backward
+from .model import ParamSet, forward, forward_with_context, init_params, model_backward
+from .preprocess import band_blocks, band_matmul
 
 
 class TrainingDiverged(RuntimeError):

@@ -6,7 +6,7 @@ import pytest
 
 from mdmixer.config import ModelConfig
 from mdmixer.data import SeriesFrame
-from mdmixer.model import BAND_WIDTH
+from mdmixer.preprocess import BAND_WIDTH
 
 # Small enough that finite differences over every parameter run in seconds.
 TINY = dict(lookback=8, horizon=4, channels=2, patch_len=4, stride=2,

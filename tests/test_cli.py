@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mdmixer.cli import main
+from mdmixer.data import load_csv
 
 SYNTH_CONFIG = """
 # tiny synthetic run
@@ -233,7 +234,8 @@ def test_export_weights_command(tmp_path):
     assert len(heat) == 3  # header + one row per head
 
 
-def test_train_from_csv_file(tmp_path):
+def write_csv_config(tmp_path, seeds="1"):
+    """A 300-row, 3-channel CSV and a tiny config that trains on it."""
     rng = np.random.default_rng(0)
     rows = ["date," + ",".join(f"v{c}" for c in range(3))]
     t = np.arange(300)
@@ -250,11 +252,31 @@ def test_train_from_csv_file(tmp_path):
                    "model.lookback = 8\nmodel.horizon = 4\n"
                    "model.patch_len = 4\nmodel.stride = 2\n"
                    "model.embed_dim = 3\nmodel.heads = 2\nmodel.hidden = 4\n"
-                   "model.kernel = 3\ntrain.max_epochs = 2\nseeds = 1\n"
+                   f"model.kernel = 3\ntrain.max_epochs = 2\nseeds = {seeds}\n"
                    f"out_dir = {out}\n")
+    return cfg, out
+
+
+def test_train_from_csv_file(tmp_path):
+    cfg, out = write_csv_config(tmp_path)
     assert main(["train", "--config", str(cfg)]) == 0
     metrics = (out / "metrics.csv").read_text().splitlines()
     assert metrics[1].startswith("series,4,1,")
+
+
+def test_train_reads_the_csv_once_for_every_seed(tmp_path, monkeypatch):
+    import mdmixer.cli
+    calls = []
+
+    def counting_load_csv(path):
+        calls.append(path)
+        return load_csv(path)
+
+    monkeypatch.setattr(mdmixer.cli, "load_csv", counting_load_csv)
+    cfg, out = write_csv_config(tmp_path, seeds="1,2,3")
+    assert main(["train", "--config", str(cfg)]) == 0
+    assert len(calls) == 1
+    assert len((out / "metrics.csv").read_text().splitlines()) == 4
 
 
 def test_parallel_seeds_match_sequential(tmp_path):

@@ -263,7 +263,7 @@ def test_parallel_seeds_use_at_most_one_process_per_cpu(tmp_path, monkeypatch):
             future.set_result(fn(*args))
             return future
 
-    def fake_train(run_cfg, seed, out_dir):
+    def fake_train(run_cfg, cfg, frames, seed, out_dir):
         return MetricRow("synth-tiny", run_cfg.horizon, seed, 1.0, 1.0)
 
     monkeypatch.setattr("mdmixer.cli.ProcessPoolExecutor", InlinePool)

@@ -1,8 +1,17 @@
+import os
+import subprocess
+import sys
+import textwrap
+from functools import lru_cache
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mdmixer.preprocess import EPS, decompose, instance_denormalize, \
-    instance_normalize, patch
+from conftest import TINY, assert_banded_matches_dense
+from mdmixer.preprocess import BAND_WIDTH, EPS, _moving_average_matrix, \
+    band_blocks, decompose, instance_denormalize, instance_normalize, patch
 
 
 def _window(values, dtype=np.float32):
@@ -118,6 +127,167 @@ def test_decompose_channel_permutation():
     direct = decompose(x[:, :, perm], kernel=7)
     permuted = decompose(x, kernel=7)
     np.testing.assert_array_equal(direct.trend, permuted.trend[:, :, perm])
+
+
+# ---------------------------------------------------------------------------
+# the moving average as a banded operator
+
+DTYPES = (np.float32, np.float64)
+MA_LENGTHS = (1, 4, 8, 96, 97, 336, 720)
+
+
+def ma_cases():
+    return [(t, k) for t in MA_LENGTHS for k in sorted({1, 3, 25, 2 * t + 1})]
+
+
+@lru_cache(maxsize=None)
+def reference_matrix(length, kernel):
+    """The moving average one entry at a time: column t counts each row of
+    the replicate-padded window t - kernel//2 ... t + kernel//2."""
+    half = kernel // 2
+    mat = np.zeros((length, length), dtype=np.float64)
+    for t in range(length):
+        for s in range(t - half, t + half + 1):
+            mat[min(max(s, 0), length - 1), t] += 1.0
+    return mat / kernel
+
+
+def reference_trend(x, kernel):
+    """Float64 mean over each replicate-padded window of the time axis."""
+    half = kernel // 2
+    x = x.astype(np.float64)
+    padded = np.concatenate([np.repeat(x[:, :1], half, axis=1), x,
+                             np.repeat(x[:, -1:], half, axis=1)], axis=1)
+    return np.stack([padded[:, t:t + kernel].mean(axis=1)
+                     for t in range(x.shape[1])], axis=1)
+
+
+def assert_trend_close(got, want, x, kernel, what=""):
+    """Within (kernel + 1) eps of the summed magnitudes |x| over each window:
+    the rounding of up to kernel adds and of the operator's entries."""
+    tol = (kernel + 1) * np.finfo(x.dtype).eps
+    scale = reference_trend(np.abs(x), kernel)
+    assert np.all(np.abs(got.astype(np.float64) - want) <= tol * scale), what
+
+
+@pytest.mark.parametrize("length, kernel", ma_cases())
+def test_moving_average_matrix_matches_reference_loop(length, kernel):
+    mat = _moving_average_matrix(length, kernel)
+    assert mat.dtype == np.float64
+    np.testing.assert_array_equal(mat, reference_matrix(length, kernel))
+
+
+@pytest.mark.parametrize("dtype", DTYPES, ids=["f32", "f64"])
+@pytest.mark.parametrize("length, kernel", ma_cases())
+def test_decompose_trend_is_the_dense_product(length, kernel, dtype):
+    """Within the dot-product bound of the float64 reference everywhere.
+    Against the dense product ``x @ M``: bit for bit where the operator is
+    one block (T <= 96), and within the banded-product bound where it is
+    several and banded (kernel <= T). A kernel past both edges makes M full:
+    every output then sums all T inputs, and at T=720 in float32 the block
+    and dense orders of those 720 terms differ by up to about 7 eps of
+    their summed magnitudes, as any two orders may, so such a kernel is
+    held to the reference bound alone."""
+    x = np.random.default_rng(length * 7 + kernel).normal(
+        size=(3, length, 5)).astype(dtype)
+    trend = decompose(x, kernel).trend
+    what = f"T={length} k={kernel}"
+    assert trend.shape == x.shape and trend.dtype == x.dtype
+    assert_trend_close(trend, reference_trend(x, kernel), x, kernel, what)
+    if length <= BAND_WIDTH or kernel <= length:
+        assert_banded_matches_dense(
+            trend.transpose(0, 2, 1), x.transpose(0, 2, 1),
+            reference_matrix(length, kernel).astype(dtype), what)
+
+
+@pytest.mark.parametrize("dtype", DTYPES, ids=["f32", "f64"])
+@pytest.mark.parametrize("length, kernel", ma_cases())
+def test_decompose_matches_scipy_uniform_filter(length, kernel, dtype):
+    """The split is the one ``scipy.ndimage.uniform_filter1d`` made, where
+    SciPy is installed to compare with."""
+    ndimage = pytest.importorskip("scipy.ndimage")
+    x = np.random.default_rng(length + kernel).normal(
+        size=(3, length, 5)).astype(dtype)
+    trend = decompose(x, kernel).trend
+    want = ndimage.uniform_filter1d(x, size=kernel, axis=1, mode="nearest")
+    err = np.linalg.norm((trend - want).astype(np.float64))
+    tol = 1e-6 if dtype == np.float32 else 1e-12
+    assert err <= tol * np.linalg.norm(want.astype(np.float64))
+
+
+@settings(derandomize=True, max_examples=120, deadline=None, database=None)
+@given(b=st.integers(1, 4), length=st.integers(1, 800), c=st.integers(1, 5),
+       half=st.integers(0, 800), dtype=st.sampled_from(DTYPES),
+       seed=st.integers(0, 2**32 - 1))
+def test_decompose_properties_over_random_geometries(b, length, c, half, dtype,
+                                                     seed):
+    kernel = 2 * min(half, length) + 1  # up to 2T + 1, past both edges
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(b, length, c)).astype(dtype)
+    what = f"B={b} T={length} C={c} k={kernel} {np.dtype(dtype)}"
+    parts = decompose(x, kernel)
+    assert_trend_close(parts.trend, reference_trend(x, kernel), x, kernel, what)
+    eps = np.finfo(dtype).eps
+    assert np.all(np.abs(parts.trend + parts.seasonal - x)
+                  <= eps * (np.abs(x) + np.abs(parts.trend))), what
+
+    perm = rng.permutation(c)
+    permuted = decompose(x[:, :, perm], kernel).trend
+    assert_trend_close(permuted, parts.trend[:, :, perm].astype(np.float64),
+                       x[:, :, perm], kernel, what)
+
+    level = rng.normal(size=c).astype(dtype)
+    flat = np.broadcast_to(level, x.shape).copy()
+    assert_trend_close(decompose(flat, kernel).trend,
+                       np.broadcast_to(level.astype(np.float64), x.shape),
+                       flat, kernel, what)
+    # the blocks of a (T x T) operator reach megabytes at large T and
+    # kernel; keep the cache from holding one operator per example
+    band_blocks.cache_clear()
+
+
+NUMPY_ONLY = textwrap.dedent("""
+    import sys
+
+    class RefuseScipy:
+        def find_spec(self, name, path=None, target=None):
+            if name.startswith("scipy"):
+                raise ImportError(f"import of {name} refused")
+            return None
+
+    sys.meta_path.insert(0, RefuseScipy())
+
+    import numpy as np
+    import mdmixer
+    from mdmixer.config import ModelConfig
+    from mdmixer.model import forward, init_params
+    from mdmixer.preprocess import decompose
+    from mdmixer.training import backward
+
+    cfg = ModelConfig(**TINY)
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(3, cfg.lookback, cfg.channels)).astype(np.float32)
+    y = rng.normal(size=(3, cfg.horizon, cfg.channels)).astype(np.float32)
+    params = init_params(cfg, 0)
+    forward(x, params, cfg)
+    backward(x, y, params, cfg)
+    decompose(rng.normal(size=(2, 96, 7)), 25)
+    print(sorted(m for m in sys.modules if m.startswith("scipy")))
+""")
+
+
+def test_package_runs_without_scipy():
+    """A fresh interpreter that refuses every ``scipy*`` import still
+    imports the package, runs a forward and backward pass and a
+    decomposition, and loads no SciPy module."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", f"TINY = {TINY!r}\n" + NUMPY_ONLY],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(src), os.environ.get("PYTHONPATH", "")])},
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]", proc.stdout
 
 
 # ---------------------------------------------------------------------------
