@@ -2,8 +2,8 @@
 
 from .config import BaselineConfig, ConfigError, ModelConfig, RunConfig, \
     SynthChannel, TrainSettings
-from .data import DataError, SeriesFrame, SplitSpec, WindowBatch, \
-    chronological_split, load_csv, make_windows, standardize, synth_multiscale
+from .data import DataError, SplitSpec, WindowBatch, chronological_split, \
+    load_csv, make_windows, standardize, synth_multiscale
 from .model import ForecastOutput, ParamSet, forward, granularity_schedule, \
     init_params, load_checkpoint, save_checkpoint
 from .baselines import baseline_forward, init_baseline_params
@@ -15,7 +15,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BaselineConfig", "ConfigError", "ModelConfig", "RunConfig", "SynthChannel",
-    "TrainSettings", "DataError", "SeriesFrame", "SplitSpec", "WindowBatch",
+    "TrainSettings", "DataError", "SplitSpec", "WindowBatch",
     "chronological_split", "load_csv", "make_windows", "standardize",
     "synth_multiscale", "ForecastOutput", "ParamSet", "forward",
     "granularity_schedule", "init_params", "load_checkpoint", "save_checkpoint",

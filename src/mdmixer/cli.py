@@ -13,9 +13,11 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
+import numpy as np
+
 from .config import ConfigError, RunConfig, load_config, render_config
-from .data import DataError, SeriesFrame, SplitSpec, chronological_split, \
-    load_csv, make_windows, standardize, synth_multiscale
+from .data import DataError, SplitSpec, chronological_split, load_csv, \
+    make_windows, standardize, synth_multiscale
 from .evaluation import MetricRow, aggregate_seeds, evaluate, export_amwg, \
     export_granularity_forecasts, write_amwg_csv, write_lines, \
     write_metric_rows, write_seed_summaries
@@ -26,7 +28,7 @@ from .config import BaselineConfig, ModelConfig
 from .training import TrainingDiverged, gradcheck, train, write_train_report
 
 
-def _load_frame(run_cfg: RunConfig) -> SeriesFrame:
+def _load_series(run_cfg: RunConfig) -> np.ndarray:
     if run_cfg.data_path is not None:
         return load_csv(run_cfg.data_path)
     if run_cfg.synth_length is not None:
@@ -37,17 +39,21 @@ def _load_frame(run_cfg: RunConfig) -> SeriesFrame:
 
 
 def _prepare(run_cfg: RunConfig):
-    """Load, split chronologically and standardize with train statistics;
-    returns the model config and the three split frames."""
-    frame = _load_frame(run_cfg)
+    """Load, check ``data.channels`` against the data, split chronologically
+    and standardize with train statistics; returns the model config and the
+    three standardized (T x C) split arrays."""
+    series = _load_series(run_cfg)
+    channels = series.shape[1]
+    if run_cfg.channels is not None and run_cfg.channels != channels:
+        raise ConfigError(f"data.channels = {run_cfg.channels} but the data "
+                          f"has {channels} channel(s)")
     spec = SplitSpec(ratios=run_cfg.ratios, lookback=run_cfg.lookback,
                      horizon=run_cfg.horizon)
-    train_frame, val_frame, test_frame = chronological_split(frame, spec)
-    train_frame, stats = standardize(train_frame)
-    val_frame, _ = standardize(val_frame, stats)
-    test_frame, _ = standardize(test_frame, stats)
-    cfg = run_cfg.resolve_model(frame.num_channels)
-    return cfg, (train_frame, val_frame, test_frame)
+    train_s, val_s, test_s = chronological_split(series, spec)
+    train_s, stats = standardize(train_s)
+    val_s, _ = standardize(val_s, stats)
+    test_s, _ = standardize(test_s, stats)
+    return run_cfg.resolve_model(channels), (train_s, val_s, test_s)
 
 
 def _dataset_label(run_cfg: RunConfig) -> str:
@@ -75,11 +81,11 @@ def _write_config_echo(run_cfg: RunConfig, channels: int, out_dir: Path):
                 render_config(resolved).splitlines())
 
 
-def _train_one_seed(run_cfg: RunConfig, cfg, frames, seed: int, out_dir: str) -> MetricRow:
+def _train_one_seed(run_cfg: RunConfig, cfg, splits, seed: int, out_dir: str) -> MetricRow:
     """Train one seed from ``_prepare``'s result; a seed's own process is sent
-    the split frames, which pickle far smaller than their window views."""
-    train_w, val_w, test_w = (make_windows(f, run_cfg.lookback, run_cfg.horizon)
-                              for f in frames)
+    the three split arrays, which pickle far smaller than their window views."""
+    train_w, val_w, test_w = (make_windows(s, run_cfg.lookback, run_cfg.horizon)
+                              for s in splits)
     settings = dataclasses.replace(run_cfg.train, seed=seed)
     params, report = train(cfg, train_w, val_w, settings)
     out = Path(out_dir)
@@ -93,19 +99,19 @@ def _train_one_seed(run_cfg: RunConfig, cfg, frames, seed: int, out_dir: str) ->
 def cmd_train(args) -> int:
     run_cfg = _load_config(args)
     out_dir = Path(args.out or run_cfg.out_dir)
-    cfg, frames = _prepare(run_cfg)  # fail fast on data and split problems
+    cfg, splits = _prepare(run_cfg)  # fail fast on data and split problems
     _write_config_echo(run_cfg, cfg.channels, out_dir)
 
     rows: list[MetricRow] = []
     if args.parallel_seeds and len(run_cfg.seeds) > 1:
         workers = min(len(run_cfg.seeds), os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_train_one_seed, run_cfg, cfg, frames, seed,
+            futures = [pool.submit(_train_one_seed, run_cfg, cfg, splits, seed,
                                    str(out_dir)) for seed in run_cfg.seeds]
             rows = [f.result() for f in futures]
     else:
         for seed in run_cfg.seeds:
-            rows.append(_train_one_seed(run_cfg, cfg, frames, seed, str(out_dir)))
+            rows.append(_train_one_seed(run_cfg, cfg, splits, seed, str(out_dir)))
     for row in rows:
         print(f"seed {row.seed}: test mse {row.mse:.6f} mae {row.mae:.6f}")
     write_metric_rows(out_dir / "metrics.csv", rows)
@@ -123,8 +129,8 @@ def _open_run(args, mdmixer_only: bool):
     Returns the run config, the model config, the test windows, the
     parameters and the output directory."""
     run_cfg = load_config(args.config)
-    cfg, (_, _, test_frame) = _prepare(run_cfg)
-    test_w = make_windows(test_frame, run_cfg.lookback, run_cfg.horizon)
+    cfg, (_, _, test_s) = _prepare(run_cfg)
+    test_w = make_windows(test_s, run_cfg.lookback, run_cfg.horizon)
     if mdmixer_only and not isinstance(cfg, ModelConfig):
         raise ConfigError(f"{args.command} needs model.kind = mdmixer")
     params = load_checkpoint(args.checkpoint)
@@ -169,7 +175,7 @@ def cmd_gradcheck(args) -> int:
     run_cfg = _load_config(args)
     channels = run_cfg.channels
     if channels is None:
-        channels = _load_frame(run_cfg).num_channels
+        channels = _load_series(run_cfg).shape[1]
     cfg = run_cfg.resolve_model(channels)
     report = gradcheck(cfg, seed=run_cfg.seeds[0], h=args.h, tol=args.tol)
     print(f"max relative error {report.max_rel_err:.3e} "

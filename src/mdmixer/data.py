@@ -1,4 +1,9 @@
-"""Dataset ingestion, standardization, chronological splits and windowing."""
+"""Dataset ingestion, standardization, chronological splits and windowing.
+
+A series is a plain (T x C) float32 array from the loader to the windows:
+the splits are row views of it and the windows views of each standardized
+split.
+"""
 
 from __future__ import annotations
 
@@ -15,39 +20,6 @@ from .config import ConfigError, SynthChannel
 
 class DataError(ValueError):
     """Raised for malformed input files or impossible split/window requests."""
-
-
-@dataclass
-class SeriesFrame:
-    """A multivariate series: values (T_total x C), timestamps and channel names.
-
-    Timestamps are opaque strings kept in file order; no parsing or
-    reordering ever happens.
-    """
-
-    values: np.ndarray
-    timestamps: list[str]
-    channel_names: list[str]
-
-    def __post_init__(self):
-        if self.values.ndim != 2:
-            raise DataError(f"values must be 2-D, got shape {self.values.shape}")
-        if len(self.timestamps) != self.values.shape[0]:
-            raise DataError("timestamps length does not match value rows")
-        if len(self.channel_names) != self.values.shape[1]:
-            raise DataError("channel_names length does not match value columns")
-
-    def __len__(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def num_channels(self) -> int:
-        return self.values.shape[1]
-
-    def slice(self, start: int, stop: int) -> "SeriesFrame":
-        return SeriesFrame(self.values[start:stop],
-                           self.timestamps[start:stop],
-                           self.channel_names)
 
 
 @dataclass(frozen=True)
@@ -105,11 +77,13 @@ class WindowBatch:
                        np.ascontiguousarray(self.targets[idx]))
 
 
-def load_csv(path: str | Path) -> SeriesFrame:
+def load_csv(path: str | Path) -> np.ndarray:
     """Read a benchmark-style CSV: header row, timestamp column, numeric channels.
 
-    Rows are numbered from 1 including the header, matching what an editor
-    shows. Any missing, non-numeric or non-finite cell is rejected.
+    Returns the (T x C) float32 values; the timestamp column is required
+    but not kept. Rows are numbered from 1 including the header, matching
+    what an editor shows. Any missing, non-numeric or non-finite cell is
+    rejected.
     """
     path = Path(path)
     if not path.exists():
@@ -118,15 +92,14 @@ def load_csv(path: str | Path) -> SeriesFrame:
         raise DataError(f"{path}: not a regular file")
     try:
         with path.open(newline="", encoding="utf-8-sig") as fh:
-            channel_names, timestamps, rows = _read_rows(path, csv.reader(fh))
+            rows = _read_rows(path, csv.reader(fh))
     except UnicodeDecodeError:
         raise DataError(f"{path}: not UTF-8 text") from None
-    values = np.asarray(rows, dtype=np.float32)
-    return SeriesFrame(values, timestamps, channel_names)
+    return np.asarray(rows, dtype=np.float32)
 
 
-def _read_rows(path: Path, reader) -> tuple[list[str], list[str], list[list[float]]]:
-    """Channel names, timestamps and parsed value rows of a CSV reader."""
+def _read_rows(path: Path, reader) -> list[list[float]]:
+    """Parsed value rows of a CSV reader, timestamp cells dropped."""
     try:
         header = next(reader)
     except StopIteration:
@@ -135,7 +108,6 @@ def _read_rows(path: Path, reader) -> tuple[list[str], list[str], list[list[floa
         raise DataError(f"{path}: need a timestamp column plus at least "
                         f"one value column, got {len(header)} column(s)")
     channel_names = [h.strip() for h in header[1:]]
-    timestamps: list[str] = []
     rows: list[list[float]] = []
     for lineno, row in enumerate(reader, start=2):
         if not row:
@@ -143,7 +115,6 @@ def _read_rows(path: Path, reader) -> tuple[list[str], list[str], list[list[floa
         if len(row) != len(header):
             raise DataError(f"{path}: malformed row, row {lineno} has "
                             f"{len(row)} fields, expected {len(header)}")
-        timestamps.append(row[0])
         parsed = []
         for name, cell in zip(channel_names, row[1:]):
             cell = cell.strip()
@@ -161,37 +132,32 @@ def _read_rows(path: Path, reader) -> tuple[list[str], list[str], list[list[floa
         rows.append(parsed)
     if not rows:
         raise DataError(f"empty file: {path} (header only)")
-    return channel_names, timestamps, rows
+    return rows
 
 
-def standardize(frame: SeriesFrame,
-                stats: NormStats | None = None) -> tuple[SeriesFrame, NormStats]:
-    """Z-score each channel. Without stats, fit them on this frame (the train
-    segment) using the population std, floored at 1e-8 for constant channels."""
+def standardize(values: np.ndarray,
+                stats: NormStats | None = None) -> tuple[np.ndarray, NormStats]:
+    """Z-score each channel. Without stats, fit them on these values (the
+    train segment) using the population std, floored at 1e-8 for constant
+    channels."""
     if stats is None:
-        values64 = frame.values.astype(np.float64)
+        values64 = values.astype(np.float64)
         mean = values64.mean(axis=0)
         std = values64.std(axis=0)  # population std
         std = np.maximum(std, 1e-8)
         stats = NormStats(mean=mean, std=std)
-    normalized = ((frame.values - stats.mean) / stats.std).astype(frame.values.dtype)
-    return SeriesFrame(normalized, frame.timestamps, frame.channel_names), stats
+    return ((values - stats.mean) / stats.std).astype(values.dtype), stats
 
 
-def chronological_split(frame: SeriesFrame,
-                        spec: SplitSpec) -> tuple[SeriesFrame, SeriesFrame, SeriesFrame]:
-    """Split in time order. Val and test reach back by the lookback so their
-    first forecast target starts exactly at the segment boundary; target
-    ranges therefore never overlap across segments."""
-    total = len(frame)
+def chronological_split(values: np.ndarray,
+                        spec: SplitSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Split in time order into three row views. Val and test reach back by
+    the lookback so their first forecast target starts exactly at the
+    segment boundary; target ranges therefore never overlap across segments."""
+    total = len(values)
     t, f = spec.lookback, spec.horizon
     b1 = int(math.floor(spec.ratios[0] * total))
     b2 = int(math.floor((spec.ratios[0] + spec.ratios[1]) * total))
-    bounds = {
-        "train": (0, b1),
-        "val": (max(b1 - t, 0), b2),
-        "test": (max(b2 - t, 0), total),
-    }
     # Window feasibility per segment: train needs b1 >= T+F; val/test extend
     # backwards, so they only need F fresh target steps past their boundary.
     if b1 < t + f:
@@ -203,20 +169,21 @@ def chronological_split(frame: SeriesFrame,
     if total - b2 < f:
         raise DataError(f"test segment too short: {total - b2} rows past the val "
                         f"boundary cannot fit horizon {f}")
-    return tuple(frame.slice(*bounds[name]) for name in ("train", "val", "test"))
+    return values[:b1], values[max(b1 - t, 0):b2], values[max(b2 - t, 0):]
 
 
-def make_windows(frame: SeriesFrame, lookback: int, horizon: int) -> WindowBatch:
-    """All stride-1 supervised windows of the frame, as zero-copy views.
+def make_windows(values: np.ndarray, lookback: int, horizon: int) -> WindowBatch:
+    """All stride-1 supervised windows of a (T x C) series, as zero-copy views.
 
     Window i pairs input rows [i, i+T) with target rows [i+T, i+T+F).
     """
-    total = len(frame)
+    if values.ndim != 2:
+        raise DataError(f"values must be 2-D, got shape {values.shape}")
+    total = len(values)
     if total < lookback + horizon:
         raise DataError(f"frame of length {total} is shorter than "
                         f"lookback + horizon = {lookback + horizon}")
     n = total - lookback - horizon + 1
-    values = frame.values
     # sliding_window_view appends the window axis: (total-T+1, C, T)
     in_view = np.lib.stride_tricks.sliding_window_view(values, lookback, axis=0)
     out_view = np.lib.stride_tricks.sliding_window_view(values, horizon, axis=0)
@@ -225,9 +192,9 @@ def make_windows(frame: SeriesFrame, lookback: int, horizon: int) -> WindowBatch
     return WindowBatch(inputs=inputs, targets=targets)
 
 
-def synth_multiscale(n: int, channels: Sequence[SynthChannel], seed: int) -> SeriesFrame:
-    """Deterministic synthetic series: per channel a sinusoid of the given
-    period and amplitude, a linear ramp, and Gaussian noise."""
+def synth_multiscale(n: int, channels: Sequence[SynthChannel], seed: int) -> np.ndarray:
+    """Deterministic synthetic (n x C) float32 series: per channel a sinusoid
+    of the given period and amplitude, a linear ramp, and Gaussian noise."""
     if n < 1:
         raise DataError(f"n must be >= 1, got {n}")
     channels = [c if isinstance(c, SynthChannel) else SynthChannel(*c) for c in channels]
@@ -239,7 +206,4 @@ def synth_multiscale(n: int, channels: Sequence[SynthChannel], seed: int) -> Ser
         ramp = spec.slope * t
         noise = rng.normal(0.0, spec.noise, size=n) if spec.noise > 0 else 0.0
         columns.append(wave + ramp + noise)
-    values = np.stack(columns, axis=1).astype(np.float32)
-    timestamps = [f"t{i:07d}" for i in range(n)]
-    names = [f"ch{i}" for i in range(len(channels))]
-    return SeriesFrame(values, timestamps, names)
+    return np.stack(columns, axis=1).astype(np.float32)

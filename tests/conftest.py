@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from mdmixer.config import ModelConfig
-from mdmixer.data import SeriesFrame
 from mdmixer.preprocess import BAND_WIDTH
 
 # Small enough that finite differences over every parameter run in seconds.
@@ -18,13 +17,10 @@ def tiny_cfg():
     return ModelConfig(**TINY)
 
 
-def make_frame(values) -> SeriesFrame:
+def make_frame(values) -> np.ndarray:
+    """A (T x C) float32 series; a 1-D input becomes one channel."""
     values = np.asarray(values, dtype=np.float32)
-    if values.ndim == 1:
-        values = values[:, None]
-    rows, cols = values.shape
-    return SeriesFrame(values, [f"t{i}" for i in range(rows)],
-                       [f"ch{c}" for c in range(cols)])
+    return values[:, None] if values.ndim == 1 else values
 
 
 HORIZONS = (96, 192, 336, 720)

@@ -57,7 +57,7 @@ def _benchmark_windows(csv_path, lookback=96, horizon=96):
     return (make_windows(train_f, lookback, horizon),
             make_windows(val_f, lookback, horizon),
             make_windows(test_f, lookback, horizon),
-            frame.num_channels)
+            frame.shape[1])
 
 
 def _synth_windows(channels, n, lookback=96, horizon=96, data_seed=11):

@@ -105,6 +105,16 @@ def test_train_split_too_short_exits_2_before_writing(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_contradicting_channel_count_exits_2_before_writing(tmp_path, capsys):
+    # the synthetic data has 2 channels; a stated count must agree with it
+    cfg_path, out = write_config(tmp_path, SYNTH_CONFIG + "data.channels = 5\n")
+    assert main(["train", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert "data.channels = 5 but the data has 2 channel(s)" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_unknown_config_key_exits_2(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("model.depth = 4\n")
@@ -186,6 +196,8 @@ def trained(tmp_path_factory):
     ("mismatched_checkpoint", ("model.embed_dim = 3", "model.embed_dim = 5"),
      "embed_s.weight"),
     ("directory_checkpoint", None, "not a regular file"),
+    ("contradicting_channels", ("seeds = 1,2", "seeds = 1,2\ndata.channels = 5"),
+     "data.channels = 5 but the data has 2 channel(s)"),
 ])
 def test_checkpoint_commands_exit_2_before_writing(tmp_path, capsys, trained,
                                                    command, case, edit, needle):

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mdmixer.config import SynthChannel
 from mdmixer.data import DataError, SplitSpec, chronological_split, load_csv, \
@@ -15,12 +18,9 @@ from conftest import make_frame
 def test_load_csv_minimal(tmp_path):
     path = tmp_path / "mini.csv"
     path.write_text("date,a\n2020-01-01,1.0\n2020-01-02,2.0\n")
-    frame = load_csv(path)
-    assert len(frame) == 2
-    assert frame.num_channels == 1
-    assert frame.channel_names == ["a"]
-    assert frame.timestamps == ["2020-01-01", "2020-01-02"]
-    np.testing.assert_array_equal(frame.values, [[1.0], [2.0]])
+    values = load_csv(path)
+    assert values.dtype == np.float32
+    np.testing.assert_array_equal(values, [[1.0], [2.0]])
 
 
 def test_load_csv_non_numeric_cell(tmp_path):
@@ -80,7 +80,7 @@ def test_load_csv_not_utf8(tmp_path):
 def test_standardize_hand_values():
     frame = make_frame([1.0, 2.0, 3.0])
     normalized, stats = standardize(frame)
-    np.testing.assert_allclose(normalized.values[:, 0],
+    np.testing.assert_allclose(normalized[:, 0],
                                [-1.2247449, 0.0, 1.2247449], atol=1e-6)
     assert stats.mean[0] == pytest.approx(2.0)
     assert stats.std[0] == pytest.approx(0.8164966, abs=1e-6)  # population std
@@ -92,13 +92,13 @@ def test_standardize_identity_stats():
     stats_in.mean[:] = 0.0
     stats_in.std[:] = 1.0
     normalized, _ = standardize(frame, stats_in)
-    np.testing.assert_array_equal(normalized.values, frame.values)
+    np.testing.assert_array_equal(normalized, frame)
 
 
 def test_standardize_constant_channel_floor():
     frame = make_frame([5.0, 5.0])
     normalized, stats = standardize(frame)
-    np.testing.assert_array_equal(normalized.values, [[0.0], [0.0]])
+    np.testing.assert_array_equal(normalized, [[0.0], [0.0]])
     assert stats.std[0] == 1e-8
 
 
@@ -106,8 +106,8 @@ def test_standardize_round_trip():
     rng = np.random.default_rng(7)
     frame = make_frame(rng.normal(3.0, 2.5, size=(200, 4)))
     normalized, stats = standardize(frame)
-    restored = normalized.values * stats.std + stats.mean
-    np.testing.assert_allclose(restored, frame.values, rtol=1e-6, atol=1e-6)
+    restored = normalized * stats.std + stats.mean
+    np.testing.assert_allclose(restored, frame, rtol=1e-6, atol=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -119,19 +119,19 @@ def test_split_benchmark_boundaries():
     spec = SplitSpec(ratios=(0.6, 0.2, 0.2), lookback=96, horizon=96)
     train, val, test = chronological_split(frame, spec)
     assert len(train) == 10452                 # floor(0.6 * 17420)
-    assert val.values[0, 0] == 10452 - 96      # reaches back by the lookback
-    assert val.values[-1, 0] == 13936 - 1      # floor(0.8 * 17420) - 1
-    assert test.values[0, 0] == 13936 - 96
-    assert test.values[-1, 0] == 17420 - 1
+    assert val[0, 0] == 10452 - 96             # reaches back by the lookback
+    assert val[-1, 0] == 13936 - 1             # floor(0.8 * 17420) - 1
+    assert test[0, 0] == 13936 - 96
+    assert test[-1, 0] == 17420 - 1
 
 
 def test_split_explicit_boundaries():
     frame = make_frame(np.arange(100, dtype=np.float32))
     spec = SplitSpec(ratios=(0.7, 0.1, 0.2), lookback=10, horizon=5)
     train, val, test = chronological_split(frame, spec)
-    assert (train.values[0, 0], train.values[-1, 0]) == (0, 69)
-    assert (val.values[0, 0], val.values[-1, 0]) == (60, 79)
-    assert (test.values[0, 0], test.values[-1, 0]) == (70, 99)
+    assert (train[0, 0], train[-1, 0]) == (0, 69)
+    assert (val[0, 0], val[-1, 0]) == (60, 79)
+    assert (test[0, 0], test[-1, 0]) == (70, 99)
 
 
 def test_split_degenerate_ratio_errors():
@@ -141,25 +141,42 @@ def test_split_degenerate_ratio_errors():
         chronological_split(frame, spec)
 
 
-def test_split_target_ranges_disjoint():
-    # Target start indices never overlap across splits and all lie in
-    # [T, total - F]; the backward extension trades F-1 boundary windows
-    # for zero target leakage.
-    total, t, f = 229, 12, 7
-    frame = make_frame(np.arange(total, dtype=np.float32))
-    spec = SplitSpec(ratios=(0.6, 0.2, 0.2), lookback=t, horizon=f)
-    splits = chronological_split(frame, spec)
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(total=st.integers(1, 1000),
+       parts=st.tuples(*[st.integers(0, 10)] * 3).filter(any),
+       t=st.integers(1, 24), f=st.integers(1, 24))
+def test_split_target_ranges_disjoint(total, parts, t, f):
+    # Either the short segment is named, or the target start rows never
+    # overlap across splits and all lie in [T, total - F]: the backward
+    # extension trades F-1 boundary windows for zero target leakage. The
+    # splits are views of the series and the windows of each standardized
+    # split.
+    ratios = tuple(p / sum(parts) for p in parts)
+    series = make_frame(np.arange(total))
+    b1 = math.floor(ratios[0] * total)
+    b2 = math.floor((ratios[0] + ratios[1]) * total)
+    short = ("train" if b1 < t + f else "val" if b2 - b1 < f
+             else "test" if total - b2 < f else None)
+    spec = SplitSpec(ratios=ratios, lookback=t, horizon=f)
+    if short is not None:
+        with pytest.raises(DataError, match=f"{short} segment too short"):
+            chronological_split(series, spec)
+        return
+    splits = chronological_split(series, spec)
+    stats = standardize(splits[0])[1]
     all_starts = []
-    for split in splits:
-        base = int(split.values[0, 0])
-        windows = make_windows(split, t, f)
-        starts = [base + i + t for i in range(len(windows))]
-        # cross-check: first target row really is the frame row at base+i+t
-        assert windows.targets[0][0, 0] == base + t
-        all_starts.extend(starts)
+    for split, boundary in zip(splits, (t, b1, b2)):
+        assert np.shares_memory(split, series)
+        normalized = standardize(split, stats)[0]
+        windows = make_windows(normalized, t, f)
+        assert np.shares_memory(windows.inputs, normalized)
+        assert np.shares_memory(windows.targets, normalized)
+        # the raw split's windows carry their own row numbers
+        targets = make_windows(split, t, f).targets[:, 0, 0]
+        assert targets[0] == boundary
+        all_starts.extend(targets.astype(int).tolist())
     assert len(set(all_starts)) == len(all_starts)
-    assert min(all_starts) >= t
-    assert max(all_starts) <= total - f
+    assert t <= min(all_starts) and max(all_starts) <= total - f
 
 
 # ---------------------------------------------------------------------------
@@ -181,14 +198,19 @@ def test_make_windows_contiguity():
     frame = make_frame(rng.normal(size=(40, 3)))
     windows = make_windows(frame, 9, 4)
     for i in range(len(windows)):
-        np.testing.assert_array_equal(windows.inputs[i][-1], frame.values[i + 8])
-        np.testing.assert_array_equal(windows.targets[i][0], frame.values[i + 9])
+        np.testing.assert_array_equal(windows.inputs[i][-1], frame[i + 8])
+        np.testing.assert_array_equal(windows.targets[i][0], frame[i + 9])
 
 
 def test_make_windows_exact_length():
     frame = make_frame(np.arange(6, dtype=np.float32))
     windows = make_windows(frame, 4, 2)
     assert len(windows) == 1
+
+
+def test_make_windows_rejects_1d():
+    with pytest.raises(DataError, match=r"values must be 2-D, got shape \(10,\)"):
+        make_windows(np.arange(10, dtype=np.float32), 4, 2)
 
 
 def test_make_windows_too_short():
@@ -220,13 +242,13 @@ def test_window_batches_reject_size_below_one(batch_size):
 
 def test_synth_pure_sinusoid():
     frame = synth_multiscale(64, [SynthChannel(16, 1.0, 0.0, 0.0)], seed=0)
-    assert frame.values[4, 0] == pytest.approx(1.0)      # quarter period
-    assert frame.values[0, 0] == pytest.approx(0.0)
+    assert frame[4, 0] == pytest.approx(1.0)      # quarter period
+    assert frame[0, 0] == pytest.approx(0.0)
 
 
 def test_synth_linear_ramp():
     frame = synth_multiscale(10, [SynthChannel(16, 0.0, 0.5, 0.0)], seed=0)
-    np.testing.assert_allclose(frame.values[:, 0],
+    np.testing.assert_allclose(frame[:, 0],
                                0.5 * np.arange(10), atol=1e-6)
 
 
@@ -234,6 +256,6 @@ def test_synth_deterministic():
     spec = [SynthChannel(12, 1.0, 0.01, 0.3), SynthChannel(40, 2.0, 0.0, 0.1)]
     a = synth_multiscale(128, spec, seed=42)
     b = synth_multiscale(128, spec, seed=42)
-    np.testing.assert_array_equal(a.values, b.values)
+    np.testing.assert_array_equal(a, b)
     c = synth_multiscale(128, spec, seed=43)
-    assert not np.array_equal(a.values, c.values)
+    assert not np.array_equal(a, c)

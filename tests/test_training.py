@@ -1,3 +1,4 @@
+import itertools
 import math
 from types import SimpleNamespace
 
@@ -342,18 +343,43 @@ def test_gradcheck_exotic_geometries(kw):
     assert gradcheck(ModelConfig(**kw), seed=0).passed
 
 
-def test_directional_gradient_at_long_horizon():
-    """<grad L, v> of the default model at F=720, C=7 on B=4 windows, in
-    float64, against central differences along one seeded unit direction v
-    at steps h and h/10; it passes when either quotient agrees within 1e-4.
-    The per-entry gradchecks run horizons too short to split the banded
-    upsampling and pooling operators into several blocks; this one does."""
-    cfg = ModelConfig(lookback=96, horizon=720, channels=7)
+ABLATIONS = ("use_mim", "use_amwg", "use_align_loss", "use_mpp")
+TRAINED_SHAPES = [
+    *(pytest.param(dict(zip(ABLATIONS, flags)), id="-".join(
+        f"{name[4:]}{'' if on else '_off'}" for name, on in zip(ABLATIONS, flags)))
+      for flags in itertools.product((True, False), repeat=len(ABLATIONS))),
+    pytest.param(dict(pos_encoding="per_channel"), id="per_channel"),
+    pytest.param(dict(stride=10), id="stride10"),  # does not divide T - patch_len
+    pytest.param(dict(horizon=720), id="F720"),
+]
+TENSOR_GROUPS = {"embed": "embed_", "pos": "pos_", "season heads": "season_head_",
+                 "trend heads": "trend_head_", "mixers": "mixer_", "gate": "gate."}
+
+
+@pytest.mark.parametrize("kw", TRAINED_SHAPES)
+def test_directional_gradient_at_trained_shapes(kw):
+    """<grad L, v> of a C=7, T=96 model (F=96 unless stated) on B=4 windows,
+    in float64, against central differences along one seeded unit direction
+    v at steps h and h/10; it passes when either quotient agrees within
+    1e-4. The per-entry gradchecks run toy shapes, too short to split the
+    banded upsampling and pooling operators into several blocks; F=720
+    does. The float32 gradients of the same parameters and batch must also
+    be within 1e-5 (norm-relative) of the float64 ones in every tensor
+    group."""
+    cfg = ModelConfig(**{"lookback": 96, "horizon": 96, "channels": 7, **kw})
     rng = np.random.default_rng(720)
-    params = init_params(cfg, 0, dtype=np.float64)
-    x = rng.normal(size=(4, cfg.lookback, cfg.channels))
-    y = rng.normal(size=(4, cfg.horizon, cfg.channels))
+    params = init_params(cfg, 0, dtype=np.float32).astype(np.float64)
+    x = rng.normal(size=(4, cfg.lookback, cfg.channels)).astype(np.float32)
+    y = rng.normal(size=(4, cfg.horizon, cfg.channels)).astype(np.float32)
+    grads32, _ = backward(x, y, params.astype(np.float32), cfg)
+    x, y = x.astype(np.float64), y.astype(np.float64)
     grads, _ = backward(x, y, params, cfg)
+    for group, prefix in TENSOR_GROUPS.items():
+        names = [n for n in grads.names() if n.startswith(prefix)]
+        want = np.concatenate([grads[n].ravel() for n in names] or [np.zeros(0)])
+        got = np.concatenate([grads32[n].ravel() for n in names] or [np.zeros(0)])
+        assert np.linalg.norm(got - want) <= 1e-5 * np.linalg.norm(want), group
+
     direction = {n: rng.standard_normal(a.shape) for n, a in params.items()}
     norm = math.sqrt(sum(float(np.square(v).sum()) for v in direction.values()))
     analytic = sum(float((grads[n] * v).sum()) for n, v in direction.items()) / norm
