@@ -83,7 +83,7 @@ def baseline_backward(d_forecast: np.ndarray, saved: tuple, params: ParamSet,
     forecast (B x F x C). Branch inputs are constants, so each branch's
     first layer computes parameter gradients only."""
     stats, branches = saved
-    grads = params.zeros_like()
+    grads = params.empty_like()  # each branch writes its own tensors
     d_norm = (d_forecast * stats.std[:, None, :]).transpose(0, 2, 1)
     d_out = d_norm.reshape(-1, cfg.horizon).astype(params.dtype, copy=False)
     for name, flat, act in branches:

@@ -12,7 +12,7 @@ import numpy as np
 from .baselines import baseline_forward
 from .config import BaselineConfig, ModelConfig
 from .data import WindowBatch
-from .model import ForecastOutput, ParamSet, forward, upsample
+from .model import ForecastOutput, ParamSet, forward, upsample, write_atomically
 
 # Inference batches hold at most EVAL_BATCH windows and at most EVAL_CELLS
 # windows x channels: the forward's working set grows with windows x
@@ -124,11 +124,9 @@ def csv_line(cells) -> str:
 
 def write_lines(path: str | Path, lines) -> Path:
     """Write ``lines`` to ``path`` as UTF-8, each ending in a newline,
-    creating the parent directory."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-    return path
+    creating the parent directory; ``path`` is replaced only once every
+    line is written."""
+    return write_atomically(path, ((line + "\n").encode("utf-8") for line in lines))
 
 
 def write_metric_rows(path: str | Path, rows: list[MetricRow]):

@@ -23,6 +23,7 @@ baselines share; ``training`` supplies the loss gradients.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -92,6 +93,9 @@ class ParamSet:
 
     def zeros_like(self) -> "ParamSet":
         return ParamSet._over(np.zeros_like(self.flat), self.layout())
+
+    def empty_like(self) -> "ParamSet":
+        return ParamSet._over(np.empty_like(self.flat), self.layout())
 
     @property
     def dtype(self):
@@ -205,9 +209,10 @@ def check_params_match(params: ParamSet, cfg: ModelConfig | object,
 
 
 # ---------------------------------------------------------------------------
-# stages: each forward next to its reverse. A reverse adds the gradients of
-# the stage's own tensors into ``grads`` and returns the gradient at its
-# input; stages whose input is a constant return nothing.
+# stages: each forward next to its reverse. A reverse writes the gradients
+# of the stage's own tensors into ``grads`` (each tensor is written by one
+# stage, once, so the arena starts uninitialised) and returns the gradient
+# at its input; stages whose input is a constant return nothing.
 
 
 def _affine(tensors, name: str) -> tuple[np.ndarray, np.ndarray]:
@@ -228,11 +233,11 @@ def linear(x: np.ndarray, weight: np.ndarray, bias: np.ndarray,
 def linear_backward(dy: np.ndarray, x: np.ndarray, params: ParamSet,
                     grads: ParamSet, name: str, input_grad: bool = True):
     """Reverse of ``linear`` with the tensors ``name.weight``/``name.bias``:
-    adds their gradients and returns the gradient at ``x`` (None when
-    ``input_grad`` is off because ``x`` is a constant)."""
+    writes their gradients over ``grads``' views and returns the gradient
+    at ``x`` (None when ``input_grad`` is off because ``x`` is a constant)."""
     dy_flat = dy.reshape(-1, dy.shape[-1])
-    grads[f"{name}.weight"] += x.reshape(-1, x.shape[-1]).T @ dy_flat
-    grads[f"{name}.bias"] += dy_flat.sum(axis=0)
+    np.matmul(x.reshape(-1, x.shape[-1]).T, dy_flat, out=grads[f"{name}.weight"])
+    np.sum(dy_flat, axis=0, out=grads[f"{name}.bias"])
     if not input_grad:
         return None
     return (dy_flat @ params[f"{name}.weight"].T).reshape(x.shape)
@@ -268,7 +273,7 @@ def embed_backward(d_xd: np.ndarray, patches: np.ndarray, params: ParamSet,
     """Parameter gradients only: the patches are constants."""
     pos_grad = grads[f"pos_{branch}"]
     # sum over the leading axes the positional encoding was broadcast along
-    pos_grad += d_xd.sum(axis=tuple(range(d_xd.ndim - pos_grad.ndim)))
+    np.sum(d_xd, axis=tuple(range(d_xd.ndim - pos_grad.ndim)), out=pos_grad)
     linear_backward(d_xd, patches, params, grads, f"embed_{branch}",
                     input_grad=False)
 
@@ -471,9 +476,14 @@ def model_backward(d_final: np.ndarray, d_granularity: list[np.ndarray],
     they enter the reverse pass as constants."""
     (stats, patches, u_s, u_t, trend_acts, y_s, y_t, y_sum, weights,
      gate_saved) = saved
-    grads = params.zeros_like()
+    grads = params.empty_like()  # each tensor is written once, by its stage
+    unused = ("mixer_",) * (not cfg.mim_enabled) + ("gate.",) * (gate_saved is None)
+    for name, grad in grads.items():  # tensors an ablation leaves unused get zeros
+        if name.startswith(unused):
+            grad.fill(0)
     std = stats.std[:, None, :]
-    d_fused = (d_final * std).transpose(0, 2, 1).astype(params.dtype, copy=False)
+    # contiguous (B, C, F) rows for the banded products of the reverse
+    d_fused = np.ascontiguousarray((d_final * std).transpose(0, 2, 1), params.dtype)
     d_heads, d_weights = fuse_backward(d_fused, y_sum, weights)
     d_gate = (0.0, 0.0)
     if gate_saved is not None:
@@ -500,26 +510,36 @@ def model_backward(d_final: np.ndarray, d_granularity: list[np.ndarray],
 # parameter buffer as little-endian float32 in layout order after it.
 
 
+def write_atomically(path: str | Path, chunks) -> Path:
+    """Write the bytes-like ``chunks`` to a new file beside ``path`` that replaces
+    it once all are written; on an error ``path`` keeps what it held."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+    try:
+        with tmp.open("wb") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+    return path
+
+
 def save_checkpoint(path: str | Path, params: ParamSet):
     records, offset = [], 0
     for name, arr in params.items():
         records.append(f"{name} {'x'.join(map(str, arr.shape))} {offset}")
         offset += 4 * arr.size
     manifest = CHECKPOINT_MAGIC + "\n" + "".join(r + "\n" for r in records) + "end\n"
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("wb") as fh:
-        fh.write(manifest.encode("utf-8"))
-        fh.write(params.flat.astype("<f4", copy=False))
+    write_atomically(path, [manifest.encode("utf-8"), params.flat.astype("<f4", copy=False)])
 
 
 def load_checkpoint(path: str | Path) -> ParamSet:
-    entries, blob = _parse_manifest(Path(path))
-    tensors = {}
+    entries, flat, size = _parse_manifest(Path(path))
+    blob, tensors, end = flat.view(np.uint8)[:size], {}, 0
     for name, shape, offset in entries:
         count = math.prod(shape)  # exact: np.prod wraps to 0 on int64 overflow
-        end = offset + 4 * count
-        if end > len(blob):
+        if offset + 4 * count > size:
             raise CheckpointError(f"{path}: blob truncated for tensor {name!r}")
         try:
             arr = np.frombuffer(blob, "<f4", count, offset).reshape(shape)
@@ -529,29 +549,37 @@ def load_checkpoint(path: str | Path) -> ParamSet:
         if not np.isfinite(arr).all():
             raise CheckpointError(f"{path}: tensor {name!r} has non-finite values")
         tensors[name] = arr
-    return ParamSet(tensors)  # the one copy, into a buffer of its own
+        end = offset + 4 * count if offset == end else -1
+    if end == size:  # the tensors tile the blob in order: the set is its buffer
+        return ParamSet._over(flat, {name: arr.shape for name, arr in tensors.items()})
+    return ParamSet(tensors)  # a copy, into a buffer of its own
 
 
 def _parse_manifest(path: Path):
+    """The manifest's (name, shape, byte offset) records, the blob after it
+    read into a float32 buffer of its own, and the blob's length in bytes."""
     if not path.exists():
         raise CheckpointError(f"checkpoint not found: {path}")
     if not path.is_file():
         raise CheckpointError(f"{path}: not a regular file")
     try:
-        data = path.read_bytes()
+        with path.open("rb") as fh:
+            if fh.readline().decode("utf-8", "replace") != CHECKPOINT_MAGIC + "\n":
+                raise CheckpointError(f"{path}: not a checkpoint (bad magic line)")
+            lines = []
+            for line in fh:
+                if line == b"end\n":
+                    break
+                lines.append(line)
+            else:
+                raise CheckpointError(f"{path}: manifest missing 'end' terminator")
+            size = os.fstat(fh.fileno()).st_size - fh.tell()
+            flat = np.empty(-(-size // 4), "<f4")
+            size = fh.readinto(flat.view(np.uint8)[:size])
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from None
-    newline = data.find(b"\n")
-    if newline < 0 or data[:newline].decode("utf-8", "replace") != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"{path}: not a checkpoint (bad magic line)")
-    marker = b"\nend\n"
-    cut = data.find(marker, newline)
-    if cut < 0:
-        raise CheckpointError(f"{path}: manifest missing 'end' terminator")
-    # a view: slicing the bytes would copy the whole blob
-    blob = memoryview(data)[cut + len(marker):]
     entries = []
-    for raw in data[newline + 1:cut + 1].splitlines():
+    for raw in b"".join(lines).splitlines():
         try:
             line = raw.decode("utf-8")
         except UnicodeDecodeError:
@@ -577,4 +605,4 @@ def _parse_manifest(path: Path):
         entries.append((name, shape, offset))
     if not entries:
         raise CheckpointError(f"{path}: checkpoint lists no tensors")
-    return entries, blob
+    return entries, flat, size

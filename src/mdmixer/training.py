@@ -99,7 +99,7 @@ def alignment_targets(y_true: np.ndarray, schedule: list[int]) -> list[np.ndarra
     """Average-pool the target sequence (B x F x C) down to each head's
     length, giving one supervision series per granularity."""
     horizon = y_true.shape[1]
-    swapped = y_true.transpose(0, 2, 1)  # (B, C, F)
+    swapped = np.ascontiguousarray(y_true.transpose(0, 2, 1))  # (B, C, F) rows
     targets = []
     for g in schedule:
         if g > horizon:
@@ -193,8 +193,8 @@ def init_optimizer(params: ParamSet, settings: TrainSettings) -> OptimizerState:
                           weight_decay=settings.weight_decay)
 
 
-# elements per block of the in-place update: a block and its two scratch
-# buffers stay in cache, where whole-tensor temporaries at F=720 do not
+# elements per block of the in-place update: a block and its scratch row
+# stay in cache, where whole-tensor temporaries at F=720 do not
 ADAMW_BLOCK = 65536
 
 
@@ -203,46 +203,47 @@ def adamw_step(params: ParamSet, grads: ParamSet,
     """One bias-corrected AdamW update; params and state update in place.
 
     The update runs over the sets' flat buffers in blocks of
-    ``ADAMW_BLOCK`` elements through two scratch buffers. Every block runs
-    the per-tensor expression's ufuncs in its order with its scalar
-    operands, so the result is that expression's, bit for bit:
+    ``ADAMW_BLOCK`` elements through one scratch row, with the bias
+    corrections bc1, bc2 folded into two scalars:
 
         m = beta1 * m + (1 - beta1) * g
         v = beta2 * v + (1 - beta2) * g**2
-        p -= lr * ((m / bc1) / (sqrt(v / bc2) + eps) + weight_decay * p)
+        p *= 1 - lr * weight_decay
+        p -= (m / (sqrt(v) + eps * sqrt(bc2))) * (lr * sqrt(bc2) / bc1)
+
+    That is ``p -= lr * ((m / bc1) / (sqrt(v / bc2) + eps) + weight_decay * p)``
+    up to the rounding of p; m and v are bit for bit the same.
     """
     if list(grads.layout().items()) != list(params.layout().items()):
         raise ValueError("adamw_step: grads and params differ in names, "
                          "order or shapes")
     state.step += 1
+    root_bc2 = math.sqrt(1.0 - state.beta2 ** state.step)
     # a Python float operand is cast to the array's dtype on every call;
     # casting once gives the same values
-    b1, a1, b2, a2, bc1, bc2, eps, decay, lr = (params.dtype.type(c) for c in (
+    b1, a1, b2, a2, eps, rate, keep = (params.dtype.type(c) for c in (
         state.beta1, 1.0 - state.beta1, state.beta2, 1.0 - state.beta2,
-        1.0 - state.beta1 ** state.step, 1.0 - state.beta2 ** state.step,
-        state.eps, state.weight_decay, state.lr))
-    t1_block, t2_block = np.empty((2, ADAMW_BLOCK), dtype=params.dtype)
+        state.eps * root_bc2, state.lr * root_bc2 / (1.0 - state.beta1 ** state.step),
+        1.0 - state.lr * state.weight_decay))
+    row = np.empty(ADAMW_BLOCK, dtype=params.dtype)
     for k0 in range(0, params.flat.size, ADAMW_BLOCK):
         p, g, m, v = (arr[k0:k0 + ADAMW_BLOCK] for arr in (
             params.flat, grads.flat, state.m.flat, state.v.flat))
-        t1, t2 = t1_block[:p.size], t2_block[:p.size]
+        t = row[:p.size]
         m *= b1
-        np.multiply(g, a1, out=t1)
-        m += t1
+        np.multiply(g, a1, out=t)
+        m += t
         v *= b2
-        np.square(g, out=t1)
-        t1 *= a2
-        v += t1
-        np.divide(m, bc1, out=t1)
-        np.divide(v, bc2, out=t2)
-        np.sqrt(t2, out=t2)
-        t2 += eps
-        t1 /= t2
-        if decay:
-            np.multiply(p, decay, out=t2)
-            t1 += t2
-        t1 *= lr
-        p -= t1
+        np.square(g, out=t)
+        t *= a2
+        v += t
+        np.sqrt(v, out=t)
+        t += eps
+        np.divide(m, t, out=t)
+        t *= rate
+        if state.weight_decay:
+            p *= keep
+        p -= t
     return params, state
 
 

@@ -268,3 +268,17 @@ def test_export_granularity_forecasts(tmp_path, tiny_cfg):
                   (tmp_path / "final.csv").read_text().splitlines()[1:]]
     final = np.array([[float(v) for v in r[2:]] for r in final_rows])
     np.testing.assert_allclose(final, output.final[0], rtol=1e-6, atol=1e-6)
+
+
+def test_write_lines_replaces_only_a_whole_file(tmp_path):
+    path = evaluation.write_lines(tmp_path / "out" / "rows.csv", ["a,b", "1,2"])
+    assert path.read_bytes() == b"a,b\n1,2\n"
+
+    def lines():
+        yield "3,4"
+        raise OSError(28, "No space left on device")  # after one line
+
+    with pytest.raises(OSError, match="No space left"):
+        evaluation.write_lines(path, lines())
+    assert path.read_bytes() == b"a,b\n1,2\n"
+    assert [p.name for p in path.parent.iterdir()] == ["rows.csv"]

@@ -1,4 +1,6 @@
+import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from mdmixer.model import CheckpointError, ParamSet, amwg, band_blocks, \
     embed, forward, fuse, fuse_backward, granularity_schedule, init_params, \
     load_checkpoint, mim, mlp, mpp_seasonal, param_layout, save_checkpoint, \
     upsample, upsample_backward, _interp_matrix, _parse_manifest
+from mdmixer.preprocess import band_matmul
 from mdmixer.training import _pool_matrix, adamw_step, init_optimizer
 
 from conftest import HORIZONS, TINY, assert_banded_matches_dense, \
@@ -362,6 +365,50 @@ def test_upsample_matches_dense(f, dtype):
                                     f"reverse, G={g}")
 
 
+def _rows(rng, b: int, c: int, length: int, strided: bool) -> np.ndarray:
+    """(B, C, length) float64 rows: contiguous, or a transposed view of a
+    (B, length, C) array, as the forward's head and target series are."""
+    if strided:
+        return rng.normal(size=(b, length, c)).transpose(0, 2, 1)
+    return rng.normal(size=(b, c, length))
+
+
+def _assert_adjoint(forward_op, reverse_op, x: np.ndarray, y: np.ndarray):
+    """<A x, y> = <x, A^T y> within 1e-12 of <|A| |x|, |y|>, the size of
+    the terms summed (the operators' entries are nonnegative)."""
+    lhs = float((forward_op(x) * y).sum())
+    rhs = float((x * reverse_op(y)).sum())
+    scale = float((forward_op(np.abs(x)) * np.abs(y)).sum())
+    assert abs(lhs - rhs) <= 1e-12 * scale, (lhs, rhs)
+
+
+ADJOINT_CASES = dict(f=st.sampled_from([96, 720]), pick=st.integers(0, 99),
+                     b=st.integers(1, 3), c=st.integers(1, 4),
+                     strided=st.booleans(), seed=st.integers(0, 2**32 - 1))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(**ADJOINT_CASES)
+def test_upsample_adjoint_identity(f, pick, b, c, strided, seed):
+    g = head_lengths(f)[pick % len(head_lengths(f))]
+    rng = np.random.default_rng(seed)
+    _assert_adjoint(lambda x: upsample(x, f), lambda y: upsample_backward(y, g),
+                    _rows(rng, b, c, g, strided), _rows(rng, b, c, f, strided))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(**ADJOINT_CASES)
+def test_pooling_adjoint_identity(f, pick, b, c, strided, seed):
+    # alignment_targets pools with _pool_matrix's transposed blocks (F -> G);
+    # the untransposed blocks spread G back over F
+    g = head_lengths(f)[pick % len(head_lengths(f))]
+    pool, spread = (band_blocks(_pool_matrix, (f, g), np.dtype(np.float64), t)
+                    for t in (True, False))
+    rng = np.random.default_rng(seed)
+    _assert_adjoint(lambda x: band_matmul(x, pool), lambda y: band_matmul(y, spread),
+                    _rows(rng, b, c, f, strided), _rows(rng, b, c, g, strided))
+
+
 def test_fuse_equal_heads_double():
     rng = np.random.default_rng(10)
     a = rng.normal(size=(2, 3, 6))
@@ -629,6 +676,55 @@ def test_checkpoint_tensors_own_writeable_data(tmp_path, tiny_cfg):
     assert not np.array_equal(loaded["embed_s.weight"], before["embed_s.weight"])
 
 
+def test_checkpoint_loads_into_one_buffer(tmp_path):
+    # the blob is read straight into the loaded set's own buffer, so the
+    # load holds one arena-sized buffer (17.6 MB at F=720), not two
+    params = init_params(ModelConfig(lookback=96, horizon=720, channels=7), 0)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, params)
+    tracemalloc.start()
+    try:
+        loaded = load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * params.flat.nbytes, (peak, params.flat.nbytes)
+    assert loaded.layout() == params.layout()
+    assert loaded.flat.tobytes() == params.flat.tobytes()
+
+
+def test_checkpoint_manifest_out_of_blob_order(tmp_path, tiny_cfg):
+    # records listed in another order than their offsets still load each
+    # tensor from its own offset, copied into a buffer of the set's own
+    params = init_params(tiny_cfg, 9)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, params)
+    head, _, blob = path.read_bytes().partition(b"\nend\n")
+    magic, first, second, *rest = head.split(b"\n")
+    path.write_bytes(b"\n".join([magic, second, first, *rest]) + b"\nend\n" + blob)
+    loaded = load_checkpoint(path)
+    assert loaded.names()[:2] == params.names()[1::-1]
+    assert loaded.flat.flags.owndata
+    for name, arr in params.items():
+        assert loaded[name].tobytes() == arr.tobytes(), name
+
+
+def test_checkpoint_failed_save_keeps_old_file(tmp_path, tiny_cfg):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, init_params(tiny_cfg, 0))
+    before = path.read_bytes()
+
+    class Unwritable:  # a blob that fails to write after the manifest
+        def astype(self, *args, **kwargs):
+            return None
+
+    broken = SimpleNamespace(items=init_params(tiny_cfg, 1).items, flat=Unwritable())
+    with pytest.raises(TypeError):
+        save_checkpoint(path, broken)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+
 def test_checkpoint_shape_mismatch(tmp_path, tiny_cfg):
     from mdmixer.model import check_params_match
     params = init_params(tiny_cfg, 0)
@@ -656,10 +752,10 @@ def test_checkpoint_read_error_is_checkpoint_error(tmp_path, tiny_cfg,
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, init_params(tiny_cfg, 0))
 
-    def fail(self):
+    def fail(self, *args, **kwargs):
         raise PermissionError(13, "Permission denied")
 
-    monkeypatch.setattr(type(path), "read_bytes", fail)
+    monkeypatch.setattr(type(path), "open", fail)
     with pytest.raises(CheckpointError, match="cannot read checkpoint .*"
                                               "Permission denied"):
         load_checkpoint(path)

@@ -1,16 +1,18 @@
 import itertools
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from mdmixer.baselines import init_baseline_params
 from mdmixer.config import BaselineConfig, ModelConfig, SynthChannel, \
     TrainSettings
 from mdmixer.data import chronological_split, make_windows, standardize, \
     synth_multiscale, SplitSpec
 from mdmixer.model import ParamSet, forward, init_params
-from mdmixer.training import ADAMW_BLOCK, OptimizerState, TrainingDiverged, \
+from mdmixer.training import ADAMW_BLOCK, TrainingDiverged, \
     adamw_step, alignment_targets, backward, gradcheck, init_optimizer, main_loss, \
     total_loss, train, _pool_matrix
 
@@ -71,7 +73,7 @@ def test_alignment_targets_identity():
 def test_alignment_targets_match_dense(f, dtype):
     rng = np.random.default_rng(f)
     y = rng.normal(size=(2, f, 3)).astype(dtype)
-    swapped = y.transpose(0, 2, 1)
+    swapped = np.ascontiguousarray(y.transpose(0, 2, 1))  # the operand pooled
     schedule = head_lengths(f)
     for g, target in zip(schedule, alignment_targets(y, schedule)):
         assert_banded_matches_dense(target.transpose(0, 2, 1), swapped,
@@ -193,6 +195,52 @@ def _adamw_reference(params, grads, state):
         params[name] -= state.lr * update
 
 
+def _adamw_folded(params, grads, state):
+    # adamw_step's expression on whole tensors: the same moments, the bias
+    # corrections folded into two scalars (a Python float operand is cast
+    # to the array's dtype, as adamw_step casts its scalars)
+    state.step += 1
+    root_bc2 = math.sqrt(1.0 - state.beta2 ** state.step)
+    rate = state.lr * root_bc2 / (1.0 - state.beta1 ** state.step)
+    for name, grad in grads.items():
+        m, v, p = state.m[name], state.v[name], params[name]
+        m *= state.beta1
+        m += (1.0 - state.beta1) * grad
+        v *= state.beta2
+        v += (1.0 - state.beta2) * np.square(grad)
+        if state.weight_decay:
+            p *= 1.0 - state.lr * state.weight_decay
+        p -= (m / (np.sqrt(v) + state.eps * root_bc2)) * rate
+
+
+# |p - p_reference| per step, in units of eps * (|p_reference| + lr): folding
+# the bias corrections rounds p differently (measured worst in these tests:
+# 2.7 in one step; 5.2 when the same updates run 3 steps apart)
+ADAMW_P_BOUND = 8
+
+
+def _check_against_oracles(params, state, grads, start, moments):
+    """One ``adamw_step`` already ran from ``start`` (tensors by name) and
+    ``moments`` (a copy of the state before it): m and v must equal both
+    oracles' bit for bit, p the folded expression's bit for bit and the
+    per-tensor update's within ``ADAMW_P_BOUND``."""
+    copy = lambda d: {n: np.array(a) for n, a in d.items()}  # noqa: E731
+    ref, folded = copy(start), copy(start)
+    ref_state, folded_state = (replace(moments, m=copy(moments.m), v=copy(moments.v))
+                               for _ in range(2))
+    _adamw_reference(ref, grads, ref_state)
+    _adamw_folded(folded, grads, folded_state)
+    assert state.step == ref_state.step == folded_state.step
+    for name, p in params.items():
+        for got, want in ((p, folded[name]), (state.m[name], ref_state.m[name]),
+                          (state.v[name], ref_state.v[name]),
+                          (state.m[name], folded_state.m[name]),
+                          (state.v[name], folded_state.v[name])):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+        bound = ADAMW_P_BOUND * np.finfo(p.dtype).eps * (np.abs(ref[name]) + state.lr)
+        assert np.all(np.abs(p.astype(np.float64) - ref[name]) <= bound), name
+
+
 @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_adamw_blocks_match_per_tensor_update(dtype, weight_decay):
@@ -204,50 +252,40 @@ def test_adamw_blocks_match_per_tensor_update(dtype, weight_decay):
     rng = np.random.default_rng(12)
     params = ParamSet({k: rng.normal(size=s).astype(dtype)
                        for k, s in shapes.items()})
-    ref_params = params.copy()
     settings = TrainSettings(lr=1e-2, weight_decay=weight_decay, seed=0)
     state = init_optimizer(params, settings)
-    ref_state = init_optimizer(ref_params, settings)
     for _ in range(3):
         grads = ParamSet({k: rng.normal(size=s).astype(dtype)
                           for k, s in shapes.items()})
         # assigning a strided array writes its values into the set's view
         grads["small"] = rng.normal(size=(5, 3)).astype(dtype).T
-        grads_before = grads.copy()
+        grads_before, start = grads.copy(), params.copy()
+        moments = replace(state, m=state.m.copy(), v=state.v.copy())
         adamw_step(params, grads, state)
-        _adamw_reference(ref_params, grads, ref_state)
         for name in shapes:
             assert grads[name].tobytes() == grads_before[name].tobytes(), name
-            for got, want in ((params, ref_params), (state.m, ref_state.m),
-                              (state.v, ref_state.v)):
-                assert got[name].dtype == dtype
-                assert got[name].tobytes() == want[name].tobytes(), name
-    assert state.step == ref_state.step == 3
+        _check_against_oracles(params, state, grads, dict(start.items()), moments)
+    assert state.step == 3
 
 
 def test_adamw_updates_set_built_from_transposed_tensor():
     # the constructor copies a strided tensor into the set's buffer, so the
-    # update of that buffer lands in params["w"]; the oracle runs on plain
+    # update of that buffer lands in params["w"]; the oracles run on plain
     # arrays
     rng = np.random.default_rng(5)
     w = rng.normal(size=(4, 3)).T
     params = ParamSet({"w": w, "b": rng.normal(size=3)})
-    ref = {name: arr.copy() for name, arr in params.items()}
-    settings = TrainSettings(lr=0.1, weight_decay=0.01, seed=0)
-    state = init_optimizer(params, settings)
-    ref_state = OptimizerState(
-        m={n: np.zeros_like(a) for n, a in ref.items()},
-        v={n: np.zeros_like(a) for n, a in ref.items()},
-        step=0, lr=0.1, weight_decay=0.01)
+    state = init_optimizer(params, TrainSettings(lr=0.1, weight_decay=0.01, seed=0))
     for _ in range(2):
         grads = ParamSet({"w": rng.normal(size=(4, 3)).T,
                           "b": rng.normal(size=3)})
+        start = {name: arr.copy() for name, arr in params.items()}
+        moments = replace(state, m={n: a.copy() for n, a in state.m.items()},
+                          v={n: a.copy() for n, a in state.v.items()})
         adamw_step(params, grads, state)
-        _adamw_reference(ref, grads, ref_state)
+        _check_against_oracles(params, state, grads, start, moments)
     assert not np.array_equal(params["w"], w)
     assert params["w"].base is params.flat
-    for name, want in ref.items():
-        assert params[name].tobytes() == want.tobytes(), name
 
 
 @pytest.mark.parametrize("grads", [
@@ -395,6 +433,38 @@ def test_directional_gradient_at_trained_shapes(kw):
         errors.append(abs(numeric - analytic)
                       / max(abs(numeric), abs(analytic), 1e-8))
     assert min(errors) < 1e-4, (analytic, errors)
+
+
+@pytest.mark.parametrize("kw", TRAINED_SHAPES + [
+    pytest.param(dict(kind=kind), id=kind)
+    for kind in ("linear_direct", "decomp_linear", "dual_branch")])
+def test_backward_writes_every_gradient(kw, monkeypatch):
+    """The reverse pass writes its gradients into an uninitialised arena
+    (``ParamSet.empty_like``), so every entry must be written: with the
+    arena filled with NaN beforehand, and again with zeros, the gradients
+    must be finite and the same bytes. C=7, T=96, F=96 unless stated, on
+    the trained shapes and the three baselines."""
+    shape = {"lookback": 96, "horizon": 96, "channels": 7, **kw}
+    cfg = BaselineConfig(**shape) if "kind" in kw else ModelConfig(**shape)
+    params = (init_baseline_params if "kind" in kw else init_params)(cfg, 0)
+    rng = np.random.default_rng(96)
+    x = rand_batch(rng, 4, cfg.lookback, cfg.channels)
+    y = rand_batch(rng, 4, cfg.horizon, cfg.channels)
+    runs = []
+    for fill in (np.nan, 0.0):
+        arenas = []
+
+        def filled(self, fill=fill):
+            arenas.append(ParamSet._over(np.full_like(self.flat, fill), self.layout()))
+            return arenas[-1]
+
+        monkeypatch.setattr(ParamSet, "empty_like", filled)
+        grads, _ = backward(x, y, params, cfg)
+        assert len(arenas) == 1 and grads.flat is arenas[0].flat
+        bad = [n for n, g in grads.items() if not np.isfinite(g).all()]
+        assert not bad, (fill, bad)
+        runs.append(grads.flat.tobytes())
+    assert runs[0] == runs[1]
 
 
 # ---------------------------------------------------------------------------
