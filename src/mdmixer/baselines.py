@@ -16,7 +16,8 @@ import numpy as np
 from .config import BaselineConfig
 from .model import ParamSet, check_params_match, init_layout, linear, \
     linear_backward, mlp, mlp_backward
-from .preprocess import decompose, instance_denormalize, instance_normalize
+from .preprocess import channel_major, decompose, instance_denormalize, \
+    instance_normalize
 
 
 def baseline_param_layout(cfg: BaselineConfig) -> dict[str, tuple[int, ...]]:
@@ -52,7 +53,7 @@ def baseline_forward_with_context(x: np.ndarray, params: ParamSet,
         raise ValueError(f"baseline input shape {x.shape} does not match "
                          f"(lookback={cfg.lookback}, channels={cfg.channels})")
     check_params_match(params, cfg, layout=baseline_param_layout(cfg))
-    x = np.ascontiguousarray(x, dtype=params.dtype)
+    x = channel_major(x, params.dtype)  # each series reshapes to (B*C, T) rows
     b, t, c = x.shape
 
     x_norm, stats = instance_normalize(x)
@@ -72,8 +73,7 @@ def baseline_forward_with_context(x: np.ndarray, params: ParamSet,
                               params[f"{name}.bias"], residual=out), None
         branches.append((name, flat, act))
 
-    forecast_norm = out.reshape(b, c, cfg.horizon).transpose(0, 2, 1)
-    forecast = instance_denormalize(forecast_norm, stats)
+    forecast = instance_denormalize(out.reshape(b, c, -1).transpose(0, 2, 1), stats)
     return forecast, (stats, branches)
 
 

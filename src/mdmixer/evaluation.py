@@ -82,7 +82,8 @@ def evaluate(params: ParamSet, cfg, windows: WindowBatch, dataset: str = "",
     count = 0
     for xb, yb in windows.batches(batch_size):
         pred = predict(xb, params, cfg)
-        diff = pred.astype(np.float64) - yb.astype(np.float64)
+        # C order whatever pred's memory order, so the sums run in one order
+        diff = np.subtract(pred, yb, dtype=np.float64, order="C")
         sq_sum += float(np.square(diff).sum())
         abs_sum += float(np.abs(diff).sum())
         count += diff.size

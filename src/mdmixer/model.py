@@ -25,14 +25,15 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
 from .config import ConfigError, ModelConfig
-from .preprocess import InstanceStats, band_blocks, band_matmul, decompose, \
-    instance_denormalize, instance_normalize, patch
+from .preprocess import InstanceStats, band_blocks, band_matmul, channel_major, \
+    decompose, instance_denormalize, instance_normalize, patch
 
 CHECKPOINT_MAGIC = "mdmixer-checkpoint v1"
 
@@ -50,7 +51,7 @@ class ParamSet:
     def __init__(self, tensors: dict[str, np.ndarray]):
         arena = ParamSet._over(np.concatenate([np.ravel(a) for a in tensors.values()]),
                                {name: np.shape(a) for name, a in tensors.items()})
-        self.flat, self._views = arena.flat, arena._views
+        self.flat, self._views, self._layout = arena.flat, arena._views, arena._layout
 
     @staticmethod
     def _over(flat: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> "ParamSet":
@@ -60,6 +61,7 @@ class ParamSet:
         for name, shape in shapes.items():
             params._views[name] = flat[offset:offset + math.prod(shape)].reshape(shape)
             offset += math.prod(shape)
+        params._layout = MappingProxyType({n: v.shape for n, v in params._views.items()})
         return params
 
     def __getitem__(self, name: str) -> np.ndarray:
@@ -82,8 +84,8 @@ class ParamSet:
     def items(self):
         return self._views.items()
 
-    def layout(self) -> dict[str, tuple[int, ...]]:
-        return {name: view.shape for name, view in self._views.items()}
+    def layout(self) -> MappingProxyType[str, tuple[int, ...]]:
+        return self._layout  # read-only, fixed at construction
 
     def copy(self) -> "ParamSet":
         return ParamSet._over(self.flat.copy(), self.layout())
@@ -136,8 +138,9 @@ def granularity_schedule(horizon: int, heads: int) -> list[int]:
     return [base * i for i in range(1, heads + 1)]
 
 
-def param_layout(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
-    """Canonical name -> shape map for every learnable tensor."""
+@lru_cache(maxsize=64)
+def param_layout(cfg: ModelConfig) -> MappingProxyType[str, tuple[int, ...]]:
+    """Canonical name -> shape map for every learnable tensor (cached, read-only)."""
     n, d, p = cfg.num_patches, cfg.embed_dim, cfg.patch_len
     c, hid = cfg.channels, cfg.hidden
     heads = cfg.num_heads
@@ -165,7 +168,7 @@ def param_layout(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     layout["gate.fc1.bias"] = (hid,)
     layout["gate.fc2.weight"] = (hid, heads * c)
     layout["gate.fc2.bias"] = (heads * c,)
-    return layout
+    return MappingProxyType(layout)
 
 
 def init_params(cfg: ModelConfig, seed: int, dtype=np.float32) -> ParamSet:
@@ -196,14 +199,16 @@ def check_params_match(params: ParamSet, cfg: ModelConfig | object,
     CheckpointError naming the first offending tensor."""
     if layout is None:
         layout = param_layout(cfg)  # type: ignore[arg-type]
+    have = params.layout()
+    if have == layout:  # one comparison; the walk below only names the culprit
+        return
     for name, shape in layout.items():
-        if name not in params:
+        if name not in have:
             raise CheckpointError(f"missing tensor {name!r}")
-        if tuple(params[name].shape) != tuple(shape):
-            raise CheckpointError(
-                f"tensor {name!r} has shape {tuple(params[name].shape)}, "
-                f"config expects {tuple(shape)}")
-    for name in params.names():
+        if have[name] != tuple(shape):
+            raise CheckpointError(f"tensor {name!r} has shape {have[name]}, "
+                                  f"config expects {tuple(shape)}")
+    for name in have:
         if name not in layout:
             raise CheckpointError(f"unexpected tensor {name!r}")
 
@@ -428,7 +433,7 @@ def forward_with_context(x: np.ndarray, params: ParamSet,
                          f"match (lookback={cfg.lookback}, channels={cfg.channels})")
     check_params_match(params, cfg)
     dtype = params.dtype
-    x = np.ascontiguousarray(x, dtype=dtype)
+    x = channel_major(x, dtype)
     b, c = x.shape[0], cfg.channels
     heads = cfg.num_heads
     schedule = granularity_schedule(cfg.horizon, heads)
@@ -483,6 +488,7 @@ def model_backward(d_final: np.ndarray, d_granularity: list[np.ndarray],
             grad.fill(0)
     std = stats.std[:, None, :]
     # contiguous (B, C, F) rows for the banded products of the reverse
+    # (no copy: the loss gradients are channel-major like ``final``)
     d_fused = np.ascontiguousarray((d_final * std).transpose(0, 2, 1), params.dtype)
     d_heads, d_weights = fuse_backward(d_fused, y_sum, weights)
     d_gate = (0.0, 0.0)

@@ -1,6 +1,8 @@
 """Non-learnable per-window transforms: instance normalization, the
 moving-average trend/seasonal split, patch extraction, and the banded
-operators that run fixed linear maps over time (here and in ``model``)."""
+operators that run fixed linear maps over time (here and in ``model``).
+Windows are (B, T, C); ``channel_major`` ones, which the forecaster and the
+baselines pass, keep every pass over time on contiguous rows."""
 
 from __future__ import annotations
 
@@ -8,6 +10,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 EPS = 1e-5  # instance std floor
 
@@ -31,15 +34,22 @@ class PatchSet:
     patches: np.ndarray  # (B, C, N, P)
 
 
+def channel_major(x: np.ndarray, dtype=None) -> np.ndarray:
+    """One copy of ``x`` (B x T x C) in channel-major memory: a (B, T, C)
+    view of contiguous (B, C, T) rows, which elementwise results inherit."""
+    return np.ascontiguousarray(x.transpose(0, 2, 1), dtype=dtype).transpose(0, 2, 1)
+
+
 def instance_normalize(x: np.ndarray) -> tuple[np.ndarray, InstanceStats]:
     """Zero-mean / unit-std each (window, channel) along the time axis.
 
     Uses the population std, floored at EPS so constant windows map to zeros.
     """
     mean = x.mean(axis=1)                                   # (B, C)
-    std = np.sqrt(((x - mean[:, None, :]) ** 2).mean(axis=1))
+    normalized = x - mean[:, None, :]
+    std = np.sqrt(np.square(normalized).mean(axis=1))
     std = np.maximum(std, np.asarray(EPS, dtype=x.dtype))
-    normalized = (x - mean[:, None, :]) / std[:, None, :]
+    normalized /= std[:, None, :]
     return normalized, InstanceStats(mean=mean, std=std)
 
 
@@ -101,7 +111,8 @@ def _moving_average_matrix(length: int, kernel: int) -> np.ndarray:
 
 def decompose(x: np.ndarray, kernel: int) -> DecomposedWindow:
     """Trend = centered moving average with replicate-edge padding (odd
-    kernel), a banded operator; seasonal = the residual x - trend."""
+    kernel), a banded operator on the (B, C, T) rows (so channel-major);
+    seasonal = the residual x - trend."""
     if kernel < 1 or kernel % 2 == 0:
         raise ValueError(f"kernel must be a positive odd integer, got {kernel}")
     blocks = band_blocks(_moving_average_matrix, (x.shape[1], kernel), x.dtype)
@@ -114,7 +125,8 @@ def patch(x: np.ndarray, patch_len: int, stride: int) -> PatchSet:
 
     The series is zero-padded at the end so the final segment fits; with
     count N = (T - P) // S + 2 the padded length is (N - 1) * S + P.
-    Output layout is (B, C, N, P).
+    Output layout is (B, C, N, P), one copy of a strided view of the
+    padded (B, C, T) rows.
     """
     b, t, c = x.shape
     if patch_len < 1 or stride < 1:
@@ -122,11 +134,10 @@ def patch(x: np.ndarray, patch_len: int, stride: int) -> PatchSet:
     if patch_len > t:
         raise ValueError(f"patch_len ({patch_len}) exceeds window length ({t})")
     count = (t - patch_len) // stride + 2
-    padded_len = (count - 1) * stride + patch_len
-    padded = np.zeros((b, padded_len, c), dtype=x.dtype)
-    padded[:, :t, :] = x
-    patches = np.empty((b, c, count, patch_len), dtype=x.dtype)
-    for j in range(count):
-        seg = padded[:, j * stride:j * stride + patch_len, :]  # (B, P, C)
-        patches[:, :, j, :] = seg.transpose(0, 2, 1)
-    return PatchSet(patches=patches)
+    padded = np.zeros((b, c, (count - 1) * stride + patch_len), dtype=x.dtype)
+    padded[:, :, :t] = x.transpose(0, 2, 1)
+    # segment j reads [j*S, j*S + P), inside the padded length; as_strided,
+    # since sliding_window_view's checks cost more than the copy at B=1
+    s_b, s_c, s_t = padded.strides
+    segments = as_strided(padded, (b, c, count, patch_len), (s_b, s_c, stride * s_t, s_t))
+    return PatchSet(patches=np.ascontiguousarray(segments))

@@ -22,7 +22,7 @@ from .config import BaselineConfig, ModelConfig, TrainSettings, config_echo
 from .data import WindowBatch
 from .evaluation import csv_line, evaluate, write_lines
 from .model import ParamSet, forward, forward_with_context, init_params, model_backward
-from .preprocess import band_blocks, band_matmul
+from .preprocess import band_blocks, band_matmul, channel_major
 
 
 class TrainingDiverged(RuntimeError):
@@ -115,9 +115,12 @@ def _loss(final: np.ndarray, per_granularity: list[np.ndarray],
     """Loss breakdown and its gradients at ``final`` and each per-granularity
     forecast: main L1 plus the alignment weight (0 with ``use_align_loss``
     off) times the mean per-head L1 against pooled targets; baselines have
-    no heads. The L1 subgradient at an exactly-zero residual is 0."""
+    no heads. The L1 subgradient at an exactly-zero residual is 0. One
+    channel-major copy of ``y_true`` matches the forecasts' memory order, so
+    the pooling reads it without a copy and every gradient is channel-major."""
     if final.shape != y_true.shape:
         raise ValueError(f"loss shapes differ: {final.shape} vs {y_true.shape}")
+    y_true = channel_major(y_true)
     targets = alignment_targets(y_true, [y.shape[1] for y in per_granularity])
     res = final - y_true
     align_res = [pred - tgt for pred, tgt in zip(per_granularity, targets)]
@@ -155,7 +158,7 @@ def backward(x: np.ndarray, y_true: np.ndarray, params: ParamSet,
     """Exact gradients of the total loss w.r.t. every parameter tensor:
     the forward pass, the loss with its gradients, then the stages'
     reverse passes."""
-    y_true = np.ascontiguousarray(y_true, dtype=params.dtype)
+    y_true = np.asarray(y_true, dtype=params.dtype)
     if isinstance(cfg, BaselineConfig):
         forecast, saved = baseline_forward_with_context(x, params, cfg)
         breakdown, d_final, _ = _loss(forecast, [], y_true, cfg)

@@ -104,7 +104,8 @@ def test_criterion_2_identity_suite():
 
         # decomposition reconstructs its input exactly
         for kernel in (1, 3, 25):
-            x = rng.normal(size=(3, 96, 4))
+            # channel-major, the layout the forecaster passes
+            x = rng.normal(size=(3, 4, 96)).transpose(0, 2, 1)
             parts = decompose(x, kernel)
             assert np.abs(parts.trend + parts.seasonal - x).max() < 1e-12
 

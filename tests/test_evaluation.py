@@ -77,6 +77,27 @@ def test_evaluate_batch_size_independent(tiny_cfg):
         assert row.mae == pytest.approx(rows[0].mae, rel=1e-6)
 
 
+def test_evaluate_metrics_ignore_the_forecast_memory_order(tiny_cfg, monkeypatch):
+    """The same forecast, C-ordered or laid out as (B, C, F) rows as the
+    forward returns it, gives bit-equal metrics, both the float64 sums of
+    the residual taken in (B, F, C) order."""
+    rng = np.random.default_rng(17)
+    # 100 windows of F=50, C=9: here a sum over the residual in the
+    # forecast's (B, C, F) memory order rounds the MSE differently
+    windows = make_windows(make_frame(rng.normal(size=(157, 9))), 8, 50)
+    forecast = rng.normal(size=windows.targets.shape).astype(np.float32)
+    layouts = {"c_order": np.ascontiguousarray(forecast),
+               "rows": np.ascontiguousarray(forecast.transpose(0, 2, 1)).transpose(0, 2, 1)}
+    assert not layouts["rows"].flags.c_contiguous
+    diff = forecast.astype(np.float64) - windows.targets.astype(np.float64)
+    want = (float(np.square(diff).sum()) / diff.size, float(np.abs(diff).sum()) / diff.size)
+    for name, pred in layouts.items():
+        monkeypatch.setattr(evaluation, "predict", lambda x, params, cfg, pred=pred: pred)
+        row = evaluate(init_params(tiny_cfg, 0), tiny_cfg, windows,
+                       batch_size=len(windows))
+        assert (row.mse, row.mae) == want, name
+
+
 def test_evaluate_deterministic(tiny_cfg):
     frame = make_frame(np.random.default_rng(3).normal(size=(40, 2)))
     windows = make_windows(frame, 8, 4)

@@ -488,6 +488,73 @@ def test_fuse_matches_fusion_at_horizon(f, heads, gated, dtype):
         assert norm_rel(got, ref) <= tol
 
 
+FUSE_CASES = dict(f=st.sampled_from([96, 720]), heads=st.sampled_from([1, 2, 3, 4, 6, 8]),
+                  b=st.integers(1, 3), c=st.integers(1, 4),
+                  seed=st.integers(0, 2**32 - 1))
+
+
+def _fuse_inputs(rng, f, heads, b, c):
+    """Float64 heads (B, C, G_i) of the schedule, weights (B, H, C) of
+    either sign, and a gradient at the fused output (B, C, F)."""
+    ys = [rng.normal(size=(b, c, g)) for g in granularity_schedule(f, heads)]
+    return ys, rng.normal(size=(b, heads, c)), rng.normal(size=(b, c, f))
+
+
+def _fuse_terms(ys, weights, d_fused) -> float:
+    """Sum of |scale_i| |y_i| (U_i^T |d|): the size of the terms every
+    inner product below sums (the upsampling entries are nonnegative)."""
+    scale = np.abs(weights + 1.0 / len(ys))
+    return float(sum((scale[:, i, :, None] * np.abs(y)
+                      * upsample_backward(np.abs(d_fused), y.shape[-1])).sum()
+                     for i, y in enumerate(ys)))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(**FUSE_CASES, a=st.floats(-4, 4), a2=st.floats(-4, 4))
+def test_fuse_is_linear_in_the_heads(f, heads, b, c, seed, a, a2):
+    rng = np.random.default_rng(seed)
+    ys, weights, _ = _fuse_inputs(rng, f, heads, b, c)
+    zs = [rng.normal(size=y.shape) for y in ys]
+    got = fuse([a * y + a2 * z for y, z in zip(ys, zs)], weights, f)
+    want = a * fuse(ys, weights, f) + a2 * fuse(zs, weights, f)
+    terms = fuse([np.abs(a * y) + np.abs(a2 * z) for y, z in zip(ys, zs)],
+                 np.abs(weights + 1.0 / heads) - 1.0 / heads, f)
+    assert np.all(np.abs(got - want) <= 1e-12 * (terms + np.abs(want)))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(**FUSE_CASES)
+def test_fuse_backward_is_the_adjoint_in_heads_and_weights(f, heads, b, c, seed):
+    """``fuse`` is bilinear in the heads y_i and the scales w_i + 1/H, so
+    <fuse(y, w), d> is sum_i <y_i, d_heads_i> and <w + 1/H, d_weights>."""
+    ys, weights, d_fused = _fuse_inputs(np.random.default_rng(seed), f, heads, b, c)
+    d_heads, d_weights = fuse_backward(d_fused, ys, weights)
+    lhs = float((fuse(ys, weights, f) * d_fused).sum())
+    via_heads = sum(float((y * d).sum()) for y, d in zip(ys, d_heads, strict=True))
+    via_weights = float(((weights + 1.0 / heads) * d_weights).sum())
+    tol = 1e-12 * _fuse_terms(ys, weights, d_fused)
+    assert abs(lhs - via_heads) <= tol, (lhs, via_heads)
+    assert abs(lhs - via_weights) <= tol, (lhs, via_weights)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(heads=st.sampled_from([1, 2, 4, 8]), b=st.integers(1, 4), c=st.integers(1, 5),
+       magnitude=st.integers(-3, 8), seed=st.integers(0, 2**32 - 1))
+def test_amwg_weights_are_a_simplex(heads, b, c, magnitude, seed):
+    """Finite, nonnegative and summing to 1 over the heads, also for
+    embeddings up to 1e8 in size, where the logits reach far past exp's
+    float64 range unless the max is subtracted first."""
+    cfg = ModelConfig(**{**TINY, "horizon": 8, "channels": c, "heads": heads})
+    params = init_params(cfg, seed % 1000, dtype=np.float64)
+    rng = np.random.default_rng(seed)
+    xd_s, xd_t = (10.0 ** magnitude * rng.normal(
+        size=(b, c, cfg.num_patches, cfg.embed_dim)) for _ in "st")
+    weights, _ = amwg(xd_s, xd_t, params, heads)
+    assert weights.shape == (b, heads, c) and weights.dtype == np.float64
+    assert np.all(np.isfinite(weights)) and weights.min() >= 0
+    assert np.abs(weights.sum(axis=1) - 1.0).max() <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # full forward
 

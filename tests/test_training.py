@@ -321,6 +321,40 @@ def test_backward_zero_gradient_at_perfect_fit(tiny_cfg):
         assert not grads[name].any(), name
 
 
+def _rows(a) -> bool:
+    """True when ``a`` (B x L x C) is laid out as contiguous (B, C, L) rows."""
+    return a.transpose(0, 2, 1).flags.c_contiguous
+
+
+@pytest.mark.parametrize("kind", ["mdmixer", "linear_direct", "decomp_linear",
+                                  "dual_branch"])
+def test_arrays_stay_channel_major_from_window_to_loss(kind, monkeypatch):
+    """The forecasts, the loss gradients the reverse passes read and the
+    baselines' branch inputs are rows of the one channel-major copy made
+    of the batch, so no stage copies them to swap axes."""
+    import mdmixer.training as training
+    seen = {}
+    original = training._loss
+
+    def spy(final, per_granularity, y_true, cfg):
+        out = original(final, per_granularity, y_true, cfg)
+        seen.update(final=final, heads=per_granularity, d_final=out[1], d_heads=out[2])
+        return out
+    monkeypatch.setattr(training, "_loss", spy)
+    rng = np.random.default_rng(17)
+    x, y = rand_batch(rng, 3, 8, 2), rand_batch(rng, 3, 4, 2)
+    cfg = ModelConfig(**TINY) if kind == "mdmixer" else \
+        BaselineConfig(kind=kind, lookback=8, horizon=4, channels=2, hidden=4, kernel=3)
+    params = init_params(cfg, 0) if kind == "mdmixer" else init_baseline_params(cfg, 0)
+    backward(x, y, params, cfg)
+    for a in (seen["final"], seen["d_final"], *seen["heads"], *seen["d_heads"]):
+        assert _rows(a)
+    if kind != "mdmixer":
+        from mdmixer.baselines import baseline_forward_with_context
+        _, (_, branches) = baseline_forward_with_context(x, params, cfg)
+        assert all(flat.base is not None for _, flat, _ in branches)  # reshapes, no copy
+
+
 def test_backward_unused_parameters_get_zero_grad():
     rng = np.random.default_rng(8)
     x = rand_batch(rng, 3, 8, 2)
