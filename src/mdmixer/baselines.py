@@ -1,23 +1,23 @@
-"""Linear forecaster baselines and their dual-branch augmentation.
+"""Linear baselines, their dual-branch augmentation, and ``forecaster``.
 
 Three kinds, all instance-normalized and channel-shared:
   linear_direct: one lookback->horizon linear map
   decomp_linear: trend/seasonal split, one linear map per component
   dual_branch:   linear seasonal map + single-hidden-layer ReLU MLP trend
 
-Each branch is one of the model's ``linear``/``mlp`` stages, so forward
-and reverse reuse the model's ops.
+A baseline has the model's contract (front end, a ``ForecastOutput`` with
+no heads, ``model_backward``'s signature) and its ``linear``/``mlp`` ops.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .config import BaselineConfig
-from .model import ParamSet, check_params_match, init_layout, linear, \
-    linear_backward, mlp, mlp_backward
-from .preprocess import channel_major, decompose, instance_denormalize, \
-    instance_normalize
+from .config import BaselineConfig, ModelConfig
+from .model import ForecastOutput, ParamSet, forward_with_context, front_end, \
+    init_layout, linear, linear_backward, mlp, mlp_backward, model_backward, \
+    param_layout
+from .preprocess import decompose, instance_denormalize
 
 
 def baseline_param_layout(cfg: BaselineConfig) -> dict[str, tuple[int, ...]]:
@@ -41,22 +41,17 @@ def init_baseline_params(cfg: BaselineConfig, seed: int,
 def baseline_forward(x: np.ndarray, params: ParamSet,
                      cfg: BaselineConfig) -> np.ndarray:
     """Forecast (B x F x C) for a batch of lookback windows (B x T x C)."""
-    return baseline_forward_with_context(x, params, cfg)[0]
+    return baseline_forward_with_context(x, params, cfg)[0].final
 
 
 def baseline_forward_with_context(x: np.ndarray, params: ParamSet,
                                   cfg: BaselineConfig):
-    """``baseline_forward`` plus the intermediates ``baseline_backward``
-    reads: the instance stats and, per branch, its name, its (B*C x T)
-    input and the trend MLP's hidden activation (None for a linear map)."""
-    if x.ndim != 3 or x.shape[1] != cfg.lookback or x.shape[2] != cfg.channels:
-        raise ValueError(f"baseline input shape {x.shape} does not match "
-                         f"(lookback={cfg.lookback}, channels={cfg.channels})")
-    check_params_match(params, cfg, layout=baseline_param_layout(cfg))
-    x = channel_major(x, params.dtype)  # each series reshapes to (B*C, T) rows
-    b, t, c = x.shape
-
-    x_norm, stats = instance_normalize(x)
+    """The forecast as a ``ForecastOutput`` with no heads, plus the
+    intermediates ``baseline_backward`` reads: the instance stats and, per
+    branch, its name, its (B*C x T) input and the trend MLP's hidden
+    activation (None for a linear map)."""
+    x_norm, stats = front_end(x, params, cfg, baseline_param_layout(cfg))
+    b, t, c = x_norm.shape  # channel-major: each series reshapes to (B*C, T) rows
     if cfg.kind == "linear_direct":
         inputs = {"direct": x_norm}
     else:
@@ -73,18 +68,21 @@ def baseline_forward_with_context(x: np.ndarray, params: ParamSet,
                               params[f"{name}.bias"], residual=out), None
         branches.append((name, flat, act))
 
-    forecast = instance_denormalize(out.reshape(b, c, -1).transpose(0, 2, 1), stats)
-    return forecast, (stats, branches)
+    output = ForecastOutput(
+        final=instance_denormalize(out.reshape(b, c, -1).transpose(0, 2, 1), stats),
+        gate_weights=np.empty((b, 0, c), dtype=params.dtype), heads=[], stats=stats)
+    return output, (stats, branches)
 
 
-def baseline_backward(d_forecast: np.ndarray, saved: tuple, params: ParamSet,
-                      cfg: BaselineConfig) -> ParamSet:
+def baseline_backward(d_final: np.ndarray, d_granularity: list[np.ndarray],
+                      saved: tuple, params: ParamSet, cfg: BaselineConfig) -> ParamSet:
     """Gradients of every parameter tensor from the loss gradient at the
-    forecast (B x F x C). Branch inputs are constants, so each branch's
-    first layer computes parameter gradients only."""
+    forecast (B x F x C); ``d_granularity`` is empty (no heads). Branch
+    inputs are constants, so each branch's first layer computes parameter
+    gradients only."""
     stats, branches = saved
     grads = params.empty_like()  # each branch writes its own tensors
-    d_norm = (d_forecast * stats.std[:, None, :]).transpose(0, 2, 1)
+    d_norm = (d_final * stats.std[:, None, :]).transpose(0, 2, 1)
     d_out = d_norm.reshape(-1, cfg.horizon).astype(params.dtype, copy=False)
     for name, flat, act in branches:
         if act is None:
@@ -92,3 +90,14 @@ def baseline_backward(d_forecast: np.ndarray, saved: tuple, params: ParamSet,
         else:
             mlp_backward(d_out, flat, act, params, grads, name, input_grad=False)
     return grads
+
+
+def forecaster(cfg: ModelConfig | BaselineConfig) -> tuple:
+    """``(layout, forward_with_context, backward)`` of the family ``cfg``
+    names, both functions with the model's signatures. They are read from
+    this module's globals at each call, so a wrapper set over a module
+    attribute (as a tracer does) sees every call."""
+    if isinstance(cfg, BaselineConfig):
+        return baseline_param_layout(cfg), baseline_forward_with_context, \
+            baseline_backward
+    return param_layout(cfg), forward_with_context, model_backward

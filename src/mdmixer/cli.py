@@ -15,16 +15,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, load_config, render_config
+from .baselines import forecaster
+from .config import ConfigError, ModelConfig, RunConfig, load_config, render_config
 from .data import DataError, SplitSpec, chronological_split, load_csv, \
     make_windows, standardize, synth_multiscale
 from .evaluation import MetricRow, aggregate_seeds, evaluate, export_amwg, \
     export_granularity_forecasts, write_amwg_csv, write_lines, \
     write_metric_rows, write_seed_summaries
 from .model import CheckpointError, check_params_match, forward, \
-    load_checkpoint, param_layout, save_checkpoint
-from .baselines import baseline_param_layout
-from .config import BaselineConfig, ModelConfig
+    load_checkpoint, save_checkpoint
 from .training import TrainingDiverged, gradcheck, train, write_train_report
 
 
@@ -131,12 +130,11 @@ def _open_run(args, mdmixer_only: bool):
     run_cfg = load_config(args.config)
     cfg, (_, _, test_s) = _prepare(run_cfg)
     test_w = make_windows(test_s, run_cfg.lookback, run_cfg.horizon)
-    if mdmixer_only and not isinstance(cfg, ModelConfig):
+    if mdmixer_only and run_cfg.model_kind != "mdmixer":
         raise ConfigError(f"{args.command} needs model.kind = mdmixer")
     params = load_checkpoint(args.checkpoint)
-    layout = (baseline_param_layout(cfg) if isinstance(cfg, BaselineConfig)
-              else param_layout(cfg))
-    check_params_match(params, cfg, layout=layout)
+    layout, _, _ = forecaster(cfg)
+    check_params_match(params, cfg, layout)
     index = getattr(args, "window", None)
     if index is not None and not 0 <= index < len(test_w):
         raise ConfigError(f"window index {index} out of range "

@@ -63,18 +63,16 @@ class WindowBatch:
 
     def batches(self, batch_size: int,
                 order: np.ndarray | None = None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Yield contiguous (x, y) batches; the last one may be short."""
+        """Yield (x, y) batches in window order, as views of the windows,
+        or in ``order``, as gathered copies; the last one may be short."""
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         n = len(self)
         for start in range(0, n, batch_size):
             idx = slice(start, min(start + batch_size, n))
             if order is not None:
-                sel = order[idx]
-                yield self.inputs[sel], self.targets[sel]
-            else:
-                yield (np.ascontiguousarray(self.inputs[idx]),
-                       np.ascontiguousarray(self.targets[idx]))
+                idx = order[idx]
+            yield self.inputs[idx], self.targets[idx]
 
 
 def load_csv(path: str | Path) -> np.ndarray:
@@ -197,7 +195,6 @@ def synth_multiscale(n: int, channels: Sequence[SynthChannel], seed: int) -> np.
     of the given period and amplitude, a linear ramp, and Gaussian noise."""
     if n < 1:
         raise DataError(f"n must be >= 1, got {n}")
-    channels = [c if isinstance(c, SynthChannel) else SynthChannel(*c) for c in channels]
     rng = np.random.default_rng(seed)
     t = np.arange(n, dtype=np.float64)
     columns = []

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import baseline_forward
+from .baselines import forecaster
 from .config import BaselineConfig, ModelConfig
 from .data import WindowBatch
 from .model import ForecastOutput, ParamSet, forward, upsample, write_atomically
@@ -58,9 +58,8 @@ def mae(y: np.ndarray, y_true: np.ndarray) -> float:
 def predict(x: np.ndarray, params: ParamSet,
             cfg: ModelConfig | BaselineConfig) -> np.ndarray:
     """Forecast (B x F x C) from either the main model or a baseline."""
-    if isinstance(cfg, BaselineConfig):
-        return baseline_forward(x, params, cfg)
-    return forward(x, params, cfg).final
+    _, forward_with_context, _ = forecaster(cfg)
+    return forward_with_context(x, params, cfg)[0].final
 
 
 def eval_batch_size(channels: int) -> int:

@@ -110,9 +110,9 @@ class ForecastOutput:
 
     ``final`` (B x F x C) is in the scale of the input window (instance
     stats restored); ``gate_weights`` are the per-channel head weights used
-    by the fusion (B x H x C, simplex over the head axis). ``heads`` holds
-    each head's forecast in the normalized space (B x C x G_i) and
-    ``stats`` the instance stats that restore it.
+    by the fusion (B x H x C, simplex over the head axis; H = 0 for a
+    baseline). ``heads`` holds each head's forecast in the normalized space
+    (B x C x G_i) and ``stats`` the instance stats that restore it.
     """
 
     final: np.ndarray
@@ -423,22 +423,27 @@ def forward(x: np.ndarray, params: ParamSet, cfg: ModelConfig) -> ForecastOutput
     return forward_with_context(x, params, cfg)[0]
 
 
+def front_end(x: np.ndarray, params: ParamSet, cfg,
+              layout: dict[str, tuple[int, ...]] | None = None):
+    """Every forecaster's start: check the window's shape and the params
+    against ``layout``, copy the batch once into channel-major memory and
+    normalize each instance; returns the normalized windows and stats."""
+    if x.ndim != 3 or x.shape[1:] != (cfg.lookback, cfg.channels):
+        raise ValueError(f"forward/input: window shape {x.shape} is not (B, "
+                         f"lookback={cfg.lookback}, channels={cfg.channels})")
+    check_params_match(params, cfg, layout)
+    return instance_normalize(channel_major(x, params.dtype))
+
+
 def forward_with_context(x: np.ndarray, params: ParamSet,
                          cfg: ModelConfig) -> tuple[ForecastOutput, tuple]:
     """``forward`` plus the intermediates ``model_backward`` reads."""
-    if x.ndim != 3:
-        raise ValueError(f"forward/input: expected 3-D (B, T, C), got shape {x.shape}")
-    if x.shape[1] != cfg.lookback or x.shape[2] != cfg.channels:
-        raise ValueError(f"forward/input: window shape {x.shape[1:]} does not "
-                         f"match (lookback={cfg.lookback}, channels={cfg.channels})")
-    check_params_match(params, cfg)
+    x_norm, stats = front_end(x, params, cfg)
     dtype = params.dtype
-    x = channel_major(x, dtype)
     b, c = x.shape[0], cfg.channels
     heads = cfg.num_heads
     schedule = granularity_schedule(cfg.horizon, heads)
 
-    x_norm, stats = instance_normalize(x)
     parts = decompose(x_norm, cfg.kernel)
     patches = [patch(part, cfg.patch_len, cfg.stride).patches
                for part in (parts.seasonal, parts.trend)]

@@ -1,10 +1,10 @@
 """Losses, AdamW, the training loop and the finite-difference gradient
 checker.
 
-``backward`` runs a forward pass, computes the loss and its gradients
-once, and hands them to the reverse pass of the model or baseline
-(``model.model_backward``, ``baselines.baseline_backward``), where each
-stage's hand-derived gradient sits next to its forward.
+``backward`` runs the forward pass of the config's family
+(``baselines.forecaster``), computes the loss and its gradients once, and
+hands them to that family's reverse pass, where each stage's hand-derived
+gradient sits next to its forward.
 """
 
 from __future__ import annotations
@@ -16,12 +16,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import baseline_backward, baseline_forward, \
-    baseline_forward_with_context, init_baseline_params
+from .baselines import forecaster
 from .config import BaselineConfig, ModelConfig, TrainSettings, config_echo
 from .data import WindowBatch
 from .evaluation import csv_line, evaluate, write_lines
-from .model import ParamSet, forward, forward_with_context, init_params, model_backward
+from .model import ParamSet, init_layout
 from .preprocess import band_blocks, band_matmul, channel_major
 
 
@@ -32,6 +31,9 @@ class TrainingDiverged(RuntimeError):
         super().__init__(message)
         self.epoch = epoch
         self.batch = batch
+
+    def __reduce__(self):  # so it crosses a process pool with its indices
+        return type(self), (self.args[0], self.epoch, self.batch)
 
 
 @dataclass
@@ -135,7 +137,7 @@ def _loss(final: np.ndarray, per_granularity: list[np.ndarray],
         d_final, d_granularity
 
 
-def total_loss(output, y_true: np.ndarray, cfg: ModelConfig) -> LossBreakdown:
+def total_loss(output, y_true: np.ndarray, cfg) -> LossBreakdown:
     """Main L1 loss plus the align terms of every head (per-head forecasts
     against pooled targets, both in the input window's scale)."""
     return _loss(output.final, output.per_granularity, y_true, cfg)[0]
@@ -159,16 +161,12 @@ def backward(x: np.ndarray, y_true: np.ndarray, params: ParamSet,
     the forward pass, the loss with its gradients, then the stages'
     reverse passes."""
     y_true = np.asarray(y_true, dtype=params.dtype)
-    if isinstance(cfg, BaselineConfig):
-        forecast, saved = baseline_forward_with_context(x, params, cfg)
-        breakdown, d_final, _ = _loss(forecast, [], y_true, cfg)
-        _check_finite(breakdown)
-        return baseline_backward(d_final, saved, params, cfg), breakdown
+    _, forward_with_context, reverse = forecaster(cfg)
     output, saved = forward_with_context(x, params, cfg)
     breakdown, d_final, d_granularity = _loss(
         output.final, output.per_granularity, y_true, cfg)
     _check_finite(breakdown)
-    return model_backward(d_final, d_granularity, saved, params, cfg), breakdown
+    return reverse(d_final, d_granularity, saved, params, cfg), breakdown
 
 
 # ---------------------------------------------------------------------------
@@ -254,12 +252,6 @@ def adamw_step(params: ParamSet, grads: ParamSet,
 # training loop
 
 
-def _init_for(cfg, seed: int, dtype=np.float32) -> ParamSet:
-    if isinstance(cfg, BaselineConfig):
-        return init_baseline_params(cfg, seed, dtype=dtype)
-    return init_params(cfg, seed, dtype=dtype)
-
-
 def train(cfg: ModelConfig | BaselineConfig, train_windows: WindowBatch,
           val_windows: WindowBatch,
           settings: TrainSettings) -> tuple[ParamSet, TrainReport]:
@@ -272,7 +264,8 @@ def train(cfg: ModelConfig | BaselineConfig, train_windows: WindowBatch,
     if len(train_windows) == 0 or len(val_windows) == 0:
         raise ValueError("train and val splits must be non-empty")
     started = time.perf_counter()
-    params = _init_for(cfg, settings.seed)
+    layout, _, _ = forecaster(cfg)
+    params = init_layout(layout, settings.seed)
     state = init_optimizer(params, settings)
     rng = np.random.default_rng(settings.seed)
 
@@ -322,40 +315,37 @@ def train(cfg: ModelConfig | BaselineConfig, train_windows: WindowBatch,
 
 
 def write_train_report(report: TrainReport, csv_path: str | Path,
-                       summary_path: str | Path | None = None):
+                       summary_path: str | Path):
     """Per-epoch CSV plus a small human-readable summary block."""
     write_lines(csv_path, ["epoch,train_loss,val_mse,val_mae"]
                 + [csv_line(astuple(r)) for r in report.epochs])
-    if summary_path is not None:
-        write_lines(summary_path, [
-            f"seed: {report.seed}",
-            f"epochs run: {len(report.epochs)}",
-            f"best epoch: {report.best_epoch}",
-            f"best val mse: {report.best_val_mse!r}",
-            f"best val mae: {report.best_val_mae!r}",
-            f"wall clock seconds: {report.wall_clock_seconds:.3f}",
-            "config:",
-        ] + [f"  {k} = {v}" for k, v in sorted(report.config.items())])
+    write_lines(summary_path, [
+        f"seed: {report.seed}",
+        f"epochs run: {len(report.epochs)}",
+        f"best epoch: {report.best_epoch}",
+        f"best val mse: {report.best_val_mse!r}",
+        f"best val mae: {report.best_val_mae!r}",
+        f"wall clock seconds: {report.wall_clock_seconds:.3f}",
+        "config:",
+    ] + [f"  {k} = {v}" for k, v in sorted(report.config.items())])
 
 
 # ---------------------------------------------------------------------------
 # finite-difference gradient verification
 
 
-def _loss_value(x, y_true, params, cfg) -> float:
-    if isinstance(cfg, BaselineConfig):
-        return main_loss(baseline_forward(x, params, cfg), y_true)
-    return total_loss(forward(x, params, cfg), y_true, cfg).total
-
-
 def gradcheck(cfg: ModelConfig | BaselineConfig, seed: int, h: float = 1e-5,
               tol: float = 1e-4, batch: int = 3) -> GradCheckReport:
     """Compare the reverse pass against central finite differences over
     every parameter entry, on one fixed random batch, in float64."""
-    params = _init_for(cfg, seed, dtype=np.float64)
+    layout, forward_with_context, _ = forecaster(cfg)
+    params = init_layout(layout, seed, dtype=np.float64)
     rng = np.random.default_rng(seed + 1)
     x = rng.normal(0.0, 1.0, size=(batch, cfg.lookback, cfg.channels))
     y_true = rng.normal(0.0, 1.0, size=(batch, cfg.horizon, cfg.channels))
+
+    def loss_value() -> float:
+        return total_loss(forward_with_context(x, params, cfg)[0], y_true, cfg).total
 
     grads, _ = backward(x, y_true, params, cfg)
     entries = [f"{name}[{i}]" for name, arr in params.items() for i in range(arr.size)]
@@ -363,9 +353,9 @@ def gradcheck(cfg: ModelConfig | BaselineConfig, seed: int, h: float = 1e-5,
     for idx, (entry, analytic) in enumerate(zip(entries, grads.flat)):
         saved = params.flat[idx]
         params.flat[idx] = saved + h
-        plus = _loss_value(x, y_true, params, cfg)
+        plus = loss_value()
         params.flat[idx] = saved - h
-        minus = _loss_value(x, y_true, params, cfg)
+        minus = loss_value()
         params.flat[idx] = saved
         numeric = (plus - minus) / (2.0 * h)
         rel = abs(numeric - analytic) / max(abs(numeric), abs(analytic), 1e-8)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from mdmixer.baselines import baseline_forward, baseline_param_layout, \
-    init_baseline_params
+from mdmixer.baselines import baseline_forward, baseline_forward_with_context, \
+    baseline_param_layout, init_baseline_params
 from mdmixer.config import BaselineConfig, ConfigError
 
 from conftest import rand_batch
@@ -96,3 +96,16 @@ def test_baseline_layouts():
     layout = baseline_param_layout(_cfg("dual_branch"))
     assert layout["trend.fc1.weight"] == (8, 5)
     assert layout["trend.fc2.weight"] == (5, 4)
+
+
+@pytest.mark.parametrize("kind", ["linear_direct", "decomp_linear", "dual_branch"])
+def test_baseline_output_has_the_model_contract(kind):
+    """A baseline returns a ForecastOutput with no heads: its final forecast
+    is ``baseline_forward``'s, byte for byte."""
+    cfg = _cfg(kind)
+    params = init_baseline_params(cfg, 2)
+    x = rand_batch(np.random.default_rng(2), 3, 8, 2)
+    output, _ = baseline_forward_with_context(x, params, cfg)
+    assert output.final.tobytes() == baseline_forward(x, params, cfg).tobytes()
+    assert output.per_granularity == [] and output.heads == []
+    assert output.gate_weights.shape == (3, 0, 2)

@@ -235,6 +235,16 @@ def test_divergence_exits_3(tmp_path, capsys):
     assert "diverged" in capsys.readouterr().err
 
 
+def test_parallel_divergence_exits_3(tmp_path, capsys):
+    """The worker's TrainingDiverged crosses the process pool intact."""
+    cfg_path, _ = write_config(tmp_path)
+    body = cfg_path.read_text().replace("train.lr = 0.002", "train.lr = 1e20")
+    cfg_path.write_text(body)
+    with np.errstate(all="ignore"):
+        assert main(["train", "--config", str(cfg_path), "--parallel-seeds"]) == 3
+    assert "diverged" in capsys.readouterr().err
+
+
 def test_export_weights_command(tmp_path):
     cfg_path, out = write_config(tmp_path)
     assert main(["train", "--config", str(cfg_path), "--seed", "2"]) == 0

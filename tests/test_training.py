@@ -1,5 +1,7 @@
 import itertools
 import math
+import pickle
+import sys
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -321,6 +323,13 @@ def test_backward_zero_gradient_at_perfect_fit(tiny_cfg):
         assert not grads[name].any(), name
 
 
+def _family(kind):
+    """A tiny config of the family ``kind`` names and its seed-0 parameters."""
+    cfg = ModelConfig(**TINY) if kind == "mdmixer" else \
+        BaselineConfig(kind=kind, lookback=8, horizon=4, channels=2, hidden=4, kernel=3)
+    return cfg, init_params(cfg, 0) if kind == "mdmixer" else init_baseline_params(cfg, 0)
+
+
 def _rows(a) -> bool:
     """True when ``a`` (B x L x C) is laid out as contiguous (B, C, L) rows."""
     return a.transpose(0, 2, 1).flags.c_contiguous
@@ -343,9 +352,7 @@ def test_arrays_stay_channel_major_from_window_to_loss(kind, monkeypatch):
     monkeypatch.setattr(training, "_loss", spy)
     rng = np.random.default_rng(17)
     x, y = rand_batch(rng, 3, 8, 2), rand_batch(rng, 3, 4, 2)
-    cfg = ModelConfig(**TINY) if kind == "mdmixer" else \
-        BaselineConfig(kind=kind, lookback=8, horizon=4, channels=2, hidden=4, kernel=3)
-    params = init_params(cfg, 0) if kind == "mdmixer" else init_baseline_params(cfg, 0)
+    cfg, params = _family(kind)
     backward(x, y, params, cfg)
     for a in (seen["final"], seen["d_final"], *seen["heads"], *seen["d_heads"]):
         assert _rows(a)
@@ -353,6 +360,44 @@ def test_arrays_stay_channel_major_from_window_to_loss(kind, monkeypatch):
         from mdmixer.baselines import baseline_forward_with_context
         _, (_, branches) = baseline_forward_with_context(x, params, cfg)
         assert all(flat.base is not None for _, flat, _ in branches)  # reshapes, no copy
+
+
+@pytest.mark.parametrize("kind", ["mdmixer", "linear_direct", "decomp_linear",
+                                  "dual_branch"])
+def test_entry_points_reach_the_forward_through_its_module(kind, monkeypatch):
+    """``forecaster`` reads the forwards as module attributes when it is
+    called, so wrappers set over every mdmixer module's copy of them (as a
+    tracer does) see each forward that training.backward,
+    evaluation.predict and gradcheck run, and nothing else."""
+    import mdmixer.baselines as baselines
+    import mdmixer.model as model
+    from mdmixer.evaluation import predict
+    calls = []
+    for owner, name in ((model, "forward_with_context"),
+                        (baselines, "baseline_forward_with_context")):
+        original = getattr(owner, name)
+
+        def wrapper(*args, original=original, name=name):
+            calls.append(name)
+            return original(*args)
+        for module in [m for n, m in sys.modules.items() if n.startswith("mdmixer")]:
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, wrapper)
+    cfg, params = _family(kind)
+    layout, _, _ = baselines.forecaster(cfg)
+    assert layout == (model.param_layout(cfg) if kind == "mdmixer"
+                      else baselines.baseline_param_layout(cfg))
+    expected = "forward_with_context" if kind == "mdmixer" \
+        else "baseline_forward_with_context"
+    rng = np.random.default_rng(5)
+    x, y = rand_batch(rng, 3, 8, 2), rand_batch(rng, 3, 4, 2)
+    for run, count in ((lambda: backward(x, y, params, cfg), 1),
+                       (lambda: predict(x, params, cfg), 1),
+                       (lambda: gradcheck(cfg, seed=0), 1 + 2 * params.flat.size)):
+        calls.clear()
+        run()
+        assert calls == [expected] * count
 
 
 def test_backward_unused_parameters_get_zero_grad():
@@ -575,6 +620,9 @@ def test_train_divergence_raises(tiny_cfg):
                   TrainSettings(lr=1e20, max_epochs=3, patience=5, seed=0))
     assert info.value.epoch >= 1
     assert info.value.batch >= 0
+    again = pickle.loads(pickle.dumps(info.value))  # as a process pool sends it
+    assert (str(again), again.epoch, again.batch) == \
+        (str(info.value), info.value.epoch, info.value.batch)
 
 
 def test_train_early_stopping_respects_patience(tiny_cfg):
