@@ -64,15 +64,22 @@ class WindowBatch:
     def batches(self, batch_size: int,
                 order: np.ndarray | None = None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Yield (x, y) batches in window order, as views of the windows,
-        or in ``order``, as gathered copies; the last one may be short."""
+        or in ``order``, as gathered copies in channel-major memory ((B, T,
+        C) views of contiguous (B, C, T) rows, the forecaster's layout);
+        the last one may be short."""
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         n = len(self)
+        # a channel index beside the window index gathers C-ordered (B, C, T)
+        # rows from the (n, C, T) views; a window index alone would keep the
+        # views' memory order
+        inputs, targets = (a.transpose(0, 2, 1) for a in (self.inputs, self.targets))
+        channels = np.arange(inputs.shape[1])
         for start in range(0, n, batch_size):
             idx = slice(start, min(start + batch_size, n))
             if order is not None:
-                idx = order[idx]
-            yield self.inputs[idx], self.targets[idx]
+                idx = order[idx, None], channels
+            yield inputs[idx].transpose(0, 2, 1), targets[idx].transpose(0, 2, 1)
 
 
 def load_csv(path: str | Path) -> np.ndarray:

@@ -14,9 +14,11 @@ from .config import BaselineConfig, ModelConfig
 from .data import WindowBatch
 from .model import ForecastOutput, ParamSet, forward, upsample, write_atomically
 
-# Inference batches hold at most EVAL_BATCH windows and at most EVAL_CELLS
-# windows x channels: the forward's working set grows with windows x
-# channels (about 24 KB each at T=F=96), so this bounds it at any width.
+# Inference batches hold at most EVAL_BATCH windows, at most EVAL_CELLS
+# windows x channels, and at most EVAL_CELLS x 96 forecast values (windows x
+# channels x horizon): the forward's working set grows with windows x
+# channels, about 18 KB each at T=F=96 and 90 KB at F=720, so this bounds
+# it near its F=96 size at any width and any horizon.
 EVAL_BATCH = 256
 EVAL_CELLS = 2048
 
@@ -62,10 +64,12 @@ def predict(x: np.ndarray, params: ParamSet,
     return forward_with_context(x, params, cfg)[0].final
 
 
-def eval_batch_size(channels: int) -> int:
-    """Windows per inference batch at this channel count: at most
-    EVAL_BATCH, at most EVAL_CELLS // channels, and at least one."""
-    return max(1, min(EVAL_BATCH, EVAL_CELLS // channels))
+def eval_batch_size(channels: int, horizon: int) -> int:
+    """Windows per inference batch at this channel count and horizon: at
+    most EVAL_BATCH, at most EVAL_CELLS // channels, at most the
+    EVAL_CELLS x 96 forecast values that bound at F=96, and at least one."""
+    return max(1, min(EVAL_BATCH, EVAL_CELLS // channels,
+                      EVAL_CELLS * 96 // (channels * horizon)))
 
 
 def evaluate(params: ParamSet, cfg, windows: WindowBatch, dataset: str = "",
@@ -73,19 +77,22 @@ def evaluate(params: ParamSet, cfg, windows: WindowBatch, dataset: str = "",
     """Run the forward pass over all windows of a split and report metrics
     in the dataset-standardized space (the space the windows live in),
     accumulated elementwise over every window, in order. ``batch_size``
-    defaults to ``eval_batch_size`` of the windows' channel count."""
+    defaults to ``eval_batch_size`` of the windows' channel count and the
+    config's horizon."""
     if batch_size is None:
-        batch_size = eval_batch_size(windows.inputs.shape[2])
+        batch_size = eval_batch_size(windows.inputs.shape[2], cfg.horizon)
     sq_sum = 0.0
     abs_sum = 0.0
     count = 0
     for xb, yb in windows.batches(batch_size):
         pred = predict(xb, params, cfg)
-        # C order whatever pred's memory order, so the sums run in one order
+        # C order whatever pred's memory order, so the sums run in one order;
+        # one residual buffer, squared after its absolute value, since
+        # |d|**2 == d**2 exactly
         diff = np.subtract(pred, yb, dtype=np.float64, order="C")
-        sq_sum += float(np.square(diff).sum())
-        abs_sum += float(np.abs(diff).sum())
         count += diff.size
+        abs_sum += float(np.abs(diff, out=diff).sum())
+        sq_sum += float(np.square(diff, out=diff).sum())
     if count == 0:
         raise ValueError("cannot evaluate an empty split")
     return MetricRow(dataset=dataset, horizon=cfg.horizon, seed=seed,
@@ -147,7 +154,7 @@ def export_amwg(params: ParamSet, cfg: ModelConfig, batch: np.ndarray) -> np.nda
     """Gate weights averaged over a batch of windows: (H x C), rows running
     coarse to fine, every column a simplex. The windows run in slices of
     ``eval_batch_size``."""
-    size = eval_batch_size(batch.shape[2])
+    size = eval_batch_size(batch.shape[2], cfg.horizon)
     weights = [forward(batch[start:start + size], params, cfg).gate_weights
                for start in range(0, len(batch), size)]
     return np.concatenate(weights).mean(axis=0)

@@ -292,6 +292,7 @@ def train(cfg: ModelConfig | BaselineConfig, train_windows: WindowBatch,
                     f"non-finite loss at epoch {epoch}, batch {batch_index}",
                     epoch=epoch, batch=batch_index)
             adamw_step(params, grads, state)
+            del grads  # so the next backward's arena is the only one alive
             loss_sum += breakdown.total * len(xb)
             seen += len(xb)
         val = evaluate(params, cfg, val_windows)
@@ -299,7 +300,7 @@ def train(cfg: ModelConfig | BaselineConfig, train_windows: WindowBatch,
                              val_mse=val.mse, val_mae=val.mae))
         if val.mse < best_mse:
             best_mse, best_mae, best_epoch = val.mse, val.mae, epoch
-            best_params = params.copy()
+            np.copyto(best_params.flat, params.flat)
             stale = 0
         else:
             stale += 1

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from mdmixer.config import SynthChannel
 from mdmixer.data import DataError, SplitSpec, chronological_split, load_csv, \
     make_windows, standardize, synth_multiscale
+from mdmixer.preprocess import channel_major
 
 from conftest import make_frame
 
@@ -227,6 +228,20 @@ def test_window_batches_cover_everything():
         assert xb.shape[1:] == (5, 1) and yb.shape[1:] == (3, 1)
         seen += len(xb)
     assert seen == len(windows)
+
+
+def test_shuffled_batches_are_gathered_channel_major():
+    # channel_major, which the front end applies to the inputs and the loss
+    # to the targets, then returns a view of the gathered memory, no copy
+    frame = make_frame(np.random.default_rng(6).normal(size=(40, 3)))
+    windows = make_windows(frame, 6, 4)
+    order = np.random.default_rng(7).permutation(len(windows))
+    for i, (xb, yb) in enumerate(windows.batches(8, order)):
+        idx = order[8 * i:8 * (i + 1)]
+        for got, want in ((xb, windows.inputs[idx]), (yb, windows.targets[idx])):
+            assert got.shape == want.shape and np.array_equal(got, want)
+            assert got.transpose(0, 2, 1).flags.c_contiguous
+            assert np.shares_memory(channel_major(got, np.float32), got)
 
 
 @pytest.mark.parametrize("batch_size", [0, -3])

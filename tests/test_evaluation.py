@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -125,7 +126,52 @@ def test_evaluate_rejects_batch_size_below_one(tiny_cfg, batch_size):
 @pytest.mark.parametrize("channels, size", [(1, 256), (7, 256), (8, 256),
                                             (9, 227), (321, 6), (5000, 1)])
 def test_eval_batch_size_rule(channels, size):
-    assert eval_batch_size(channels) == size
+    # at F <= 96 the forecast-value bound never binds
+    for horizon in (1, 24, 96):
+        assert eval_batch_size(channels, horizon) == size
+
+
+@pytest.mark.parametrize("channels, horizon, size", [
+    (7, 97, 256), (8, 97, 253), (7, 192, 146), (7, 336, 83), (7, 720, 39),
+    (321, 192, 3), (321, 720, 1), (862, 96, 2), (862, 720, 1)])
+def test_eval_batch_size_rule_bounds_forecast_values(channels, horizon, size):
+    assert eval_batch_size(channels, horizon) == size
+    assert size == 1 or size * channels * horizon <= 2048 * 96
+
+
+def test_long_horizon_evaluation_memory_is_bounded():
+    # 256-window batches at this shape peak near 146 MB; batches bounded in
+    # forecast values keep the working set under the F=96 one's (about 32 MB)
+    cfg = ModelConfig(lookback=96, horizon=720, channels=7)
+    params = init_params(cfg, 0)
+    series = np.random.default_rng(4).normal(size=(96 + 720 + 299, 7))
+    windows = make_windows(make_frame(series), 96, 720)
+    assert len(windows) == 300
+    tracemalloc.start()
+    try:
+        evaluate(params, cfg, windows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48e6, peak
+
+
+def test_evaluate_metrics_match_two_temporaries(tiny_cfg):
+    # the residual buffer is reused for |d| and then |d|**2, which equals
+    # d**2 exactly, so the sums are those of separate temporaries
+    params = init_params(tiny_cfg, 5)
+    windows = make_windows(make_frame(np.random.default_rng(12).normal(
+        size=(40, 2))), 8, 4)
+    sq_sum = abs_sum = 0.0
+    count = 0
+    for xb, yb in windows.batches(7):
+        diff = np.subtract(predict(xb, params, tiny_cfg), yb, dtype=np.float64,
+                           order="C")
+        sq_sum += float(np.square(diff).sum())
+        abs_sum += float(np.abs(diff).sum())
+        count += diff.size
+    row = evaluate(params, tiny_cfg, windows, batch_size=7)
+    assert (row.mse, row.mae) == (sq_sum / count, abs_sum / count)
 
 
 def _recording(monkeypatch, name, shapes):

@@ -2,6 +2,7 @@ import itertools
 import math
 import pickle
 import sys
+import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -610,6 +611,26 @@ def test_train_fits_noiseless_sinusoid():
     cfg = ModelConfig(lookback=96, horizon=96, channels=1)
     _, report = train(cfg, train_w, val_w, settings)
     assert report.best_val_mse < 0.05
+
+
+def test_long_horizon_training_memory_in_arenas():
+    # live across a step: params, both moments, the best params and one
+    # gradient arena (17.6 MB each at F=720); the activations of an 8-window
+    # batch and the cached horizon operators take well under one more. A
+    # second gradient arena alive into the next backward puts the peak past
+    # 6.25 (near 6.7)
+    cfg = ModelConfig(lookback=96, horizon=720, channels=7)
+    rng = np.random.default_rng(8)
+    train_w, val_w = (make_windows(rng.normal(size=(96 + 720 + n - 1, 7))
+                                   .astype(np.float32), 96, 720) for n in (16, 8))
+    arena = init_params(cfg, 0).flat.nbytes
+    tracemalloc.start()
+    try:
+        train(cfg, train_w, val_w, TrainSettings(batch_size=8, max_epochs=2, seed=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6.25 * arena, peak / arena
 
 
 def test_train_divergence_raises(tiny_cfg):
