@@ -3,9 +3,9 @@
 ``test_golden.py`` recomputes every case below and compares it with
 ``golden.npz``. Refactors must reproduce the recorded values:
 
-* value records, for every case: the norm and two seeded projections of
-  every output, compared norm-relative (``TOLERANCE``: 1e-6 in float32,
-  1e-12 in float64) on every run. For mdmixer cases the outputs are
+* value records, for every case: the norm and two projections of every
+  output, compared norm-relative (``TOLERANCE``: 1e-6 in float32, 1e-12
+  in float64) on every run. For mdmixer cases the outputs are
   ``final``, every ``per_granularity`` series, ``gate_weights``, the loss
   breakdown and every gradient tensor; for baseline cases every gradient
   tensor, plus the forecast itself.
@@ -18,6 +18,11 @@
 Inputs are a seeded batch of B=8 windows with per-channel level and
 scale, and seeded parameters perturbed off init so that every bias is
 nonzero (with zero biases the order of a bias add cannot show).
+
+Each tensor's perturbation and each output's projections are drawn from
+a generator seeded by its own label (``labelled_rng``), so a label's
+record does not depend on which other labels its case holds: a change
+that adds or drops a tensor adds or drops only that tensor's rows.
 
 Record the fixture from the code on the import path with
 
@@ -86,13 +91,17 @@ def batch(cfg, dtype) -> tuple[np.ndarray, np.ndarray]:
     return x.astype(dtype), y.astype(dtype)
 
 
+def labelled_rng(stream: int, label: str) -> np.random.Generator:
+    """A generator seeded by ``stream`` and ``label`` alone."""
+    return np.random.default_rng([SEED, stream, *label.encode("utf-8")])
+
+
 def perturbed(params: ParamSet, dtype) -> ParamSet:
-    """Init plus seeded noise, rounded to float32 first so both dtypes run
-    the same parameter values."""
-    rng = np.random.default_rng(SEED + 1)
-    return ParamSet({name: (arr + rng.normal(0.0, 0.02, size=arr.shape))
-                     .astype(np.float32).astype(dtype)
-                     for name, arr in params.items()})
+    """Init plus noise seeded by each tensor's name, rounded to float32
+    first so both dtypes run the same parameter values."""
+    return ParamSet({
+        name: (arr + labelled_rng(1, name).normal(0.0, 0.02, size=arr.shape))
+        .astype(np.float32).astype(dtype) for name, arr in params.items()})
 
 
 def digest(arr) -> np.ndarray:
@@ -102,14 +111,14 @@ def digest(arr) -> np.ndarray:
     return np.frombuffer(hasher.digest(), dtype=np.uint8)
 
 
-def value_stats(arrays) -> np.ndarray:
-    """One row (norm, projection, projection) per array, in float64; the
-    two projections are onto seeded unit directions."""
-    rng = np.random.default_rng(SEED + 2)
+def value_stats(outputs: dict[str, np.ndarray]) -> np.ndarray:
+    """One row (norm, projection, projection) per labelled array, in
+    float64; the two projections are onto unit directions seeded by the
+    label."""
     stats = []
-    for arr in arrays:
+    for label, arr in outputs.items():
         flat = np.asarray(arr).astype(np.float64).ravel()
-        proj = rng.normal(size=(2, flat.size))
+        proj = labelled_rng(2, label).normal(size=(2, flat.size))
         proj /= np.linalg.norm(proj, axis=1, keepdims=True)
         stats.append([np.linalg.norm(flat), *(proj @ flat)])
     return np.array(stats)
@@ -148,7 +157,8 @@ def baseline_outputs(cfg: BaselineConfig, dtype) -> dict[str, np.ndarray]:
     x, y = batch(cfg, dtype)
     grads, _ = backward(x, y, params, cfg)
     return {"forecast": baseline_forward(x, params, cfg),
-            "grad_stats": value_stats(grads[name] for name in grads.names())}
+            "grad_stats": value_stats({f"grad {name}": grad
+                                       for name, grad in grads.items()})}
 
 
 def key(case: str, dtype, what: str) -> str:
@@ -161,7 +171,7 @@ def value_errors(fixture: dict, case: str, dtype) -> dict[str, float]:
     errors = {}
     if case in MDMIXER_CASES:
         outputs = mdmixer_outputs(MDMIXER_CASES[case], dtype)
-        labels, stats = list(outputs), value_stats(outputs.values())
+        labels, stats = list(outputs), value_stats(outputs)
         want = fixture[key(case, dtype, "values")]
     else:
         outputs = baseline_outputs(BASELINE_CASES[case], dtype)
@@ -251,7 +261,7 @@ def record(path: Path = FIXTURE, digest_cases: list[str] | None = None):
             arrays[key(case, dtype, "digests")] = np.stack(
                 [digest(a) for a in outputs.values()])
             if digest_cases is None:
-                arrays[key(case, dtype, "values")] = value_stats(outputs.values())
+                arrays[key(case, dtype, "values")] = value_stats(outputs)
     if digest_cases is None:
         for case, cfg in BASELINE_CASES.items():
             for dtype in DTYPES:

@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 from golden import BASELINE_CASES, DTYPES, FIXTURE, MDMIXER_CASES, \
-    blas_environment, digest, key, mdmixer_outputs, recorded_environment, \
-    value_failures
+    blas_environment, digest, key, mdmixer_outputs, perturbed, \
+    recorded_environment, value_failures, value_stats
+from mdmixer.model import ParamSet
 
 DTYPE_IDS = [np.dtype(d).name for d in DTYPES]
 TESTS = Path(__file__).resolve().parent
@@ -22,6 +23,24 @@ TESTS = Path(__file__).resolve().parent
 def fixture():
     with np.load(FIXTURE) as data:
         return dict(data)
+
+
+def test_records_of_a_label_ignore_the_other_labels():
+    """A tensor's perturbation and an output's value row depend on its
+    label only, not on which labels come before or after it, so adding or
+    dropping a tensor moves no other record."""
+    rng = np.random.default_rng(0)
+    a, b, c = (rng.normal(size=shape) for shape in ((3, 4), (5,), (2, 2)))
+    alone = perturbed(ParamSet({"b": b}), np.float64)
+    among = perturbed(ParamSet({"a": a, "b": b, "c": c}), np.float64)
+    assert alone["b"].tobytes() == among["b"].tobytes()
+    assert not np.array_equal(among["a"], a)
+    row = value_stats({"y": b})
+    rows = value_stats({"x": a, "y": b, "z": c})
+    assert row.tobytes() == rows[1:2].tobytes()
+    # same array, another label: other projections, same norm
+    other = value_stats({"w": b})
+    assert other[0, 0] == row[0, 0] and not np.array_equal(other, row)
 
 
 @pytest.mark.parametrize("dtype", DTYPES, ids=DTYPE_IDS)
