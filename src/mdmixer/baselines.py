@@ -15,8 +15,8 @@ import numpy as np
 
 from .config import BaselineConfig, ModelConfig
 from .model import ForecastOutput, ParamSet, forward_with_context, front_end, \
-    init_layout, linear, linear_backward, mlp, mlp_backward, model_backward, \
-    param_layout
+    init_layout, init_params, linear, linear_backward, mlp, mlp_backward, \
+    model_backward, param_layout
 from .preprocess import decompose, instance_denormalize
 
 
@@ -93,11 +93,12 @@ def baseline_backward(d_final: np.ndarray, d_granularity: list[np.ndarray],
 
 
 def forecaster(cfg: ModelConfig | BaselineConfig) -> tuple:
-    """``(layout, forward_with_context, backward)`` of the family ``cfg``
-    names, both functions with the model's signatures. They are read from
-    this module's globals at each call, so a wrapper set over a module
-    attribute (as a tracer does) sees every call."""
+    """``(layout, init, forward_with_context, backward)`` of the family
+    ``cfg`` names, the functions with the model's signatures
+    (``init_params``'s for ``init``). They are read from this module's
+    globals at each call, so a wrapper set over a module attribute (as a
+    tracer does) sees every call."""
     if isinstance(cfg, BaselineConfig):
-        return baseline_param_layout(cfg), baseline_forward_with_context, \
-            baseline_backward
-    return param_layout(cfg), forward_with_context, model_backward
+        return baseline_param_layout(cfg), init_baseline_params, \
+            baseline_forward_with_context, baseline_backward
+    return param_layout(cfg), init_params, forward_with_context, model_backward

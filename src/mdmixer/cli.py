@@ -133,7 +133,7 @@ def _open_run(args, mdmixer_only: bool):
     if mdmixer_only and run_cfg.model_kind != "mdmixer":
         raise ConfigError(f"{args.command} needs model.kind = mdmixer")
     params = load_checkpoint(args.checkpoint)
-    layout, _, _ = forecaster(cfg)
+    layout = forecaster(cfg)[0]
     check_params_match(params, cfg, layout)
     index = getattr(args, "window", None)
     if index is not None and not 0 <= index < len(test_w):

@@ -70,6 +70,8 @@ class WindowBatch:
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         n = len(self)
+        if order is not None and len(order) != n:
+            raise ValueError(f"order holds {len(order)} indices for {n} windows")
         # a channel index beside the window index gathers C-ordered (B, C, T)
         # rows from the (n, C, T) views; a window index alone would keep the
         # views' memory order

@@ -60,7 +60,7 @@ def mae(y: np.ndarray, y_true: np.ndarray) -> float:
 def predict(x: np.ndarray, params: ParamSet,
             cfg: ModelConfig | BaselineConfig) -> np.ndarray:
     """Forecast (B x F x C) from either the main model or a baseline."""
-    _, forward_with_context, _ = forecaster(cfg)
+    _, _, forward_with_context, _ = forecaster(cfg)
     return forward_with_context(x, params, cfg)[0].final
 
 

@@ -44,9 +44,9 @@ class CheckpointError(ValueError):
 
 class ParamSet:
     """Ordered, named tensors, each a C-contiguous view of one 1-D buffer,
-    ``flat``, in layout order, which fixes the RNG draw order at init and
-    the blob order in checkpoints. The constructor copies the tensors into
-    a new buffer; each whole-set operation is one call on ``flat``."""
+    ``flat``, in layout order, which fixes the blob order in checkpoints.
+    The constructor copies the tensors into a new buffer; each whole-set
+    operation is one call on ``flat``."""
 
     def __init__(self, tensors: dict[str, np.ndarray]):
         arena = ParamSet._over(np.concatenate([np.ravel(a) for a in tensors.values()]),
@@ -139,8 +139,11 @@ def granularity_schedule(horizon: int, heads: int) -> list[int]:
 
 
 @lru_cache(maxsize=64)
-def param_layout(cfg: ModelConfig) -> MappingProxyType[str, tuple[int, ...]]:
-    """Canonical name -> shape map for every learnable tensor (cached, read-only)."""
+def param_layout(cfg: ModelConfig,
+                 full: bool = False) -> MappingProxyType[str, tuple[int, ...]]:
+    """Canonical name -> shape map of the tensors ``cfg`` uses (cached,
+    read-only): the mixers only with MIM on, the gate only with AMWG on.
+    ``full`` lists the full model's tensors at ``cfg``'s heads instead."""
     n, d, p = cfg.num_patches, cfg.embed_dim, cfg.patch_len
     c, hid = cfg.channels, cfg.hidden
     heads = cfg.num_heads
@@ -160,20 +163,25 @@ def param_layout(cfg: ModelConfig) -> MappingProxyType[str, tuple[int, ...]]:
         layout[f"trend_head_{i}.fc1.bias"] = (hid,)
         layout[f"trend_head_{i}.fc2.weight"] = (hid, g)
         layout[f"trend_head_{i}.fc2.bias"] = (g,)
-    for branch in ("s", "t"):
+    for branch in ("s", "t") if full or cfg.mim_enabled else ():
         for i in range(2, heads + 1):
             layout[f"mixer_{branch}_{i}.weight"] = (schedule[i - 2], schedule[i - 1])
             layout[f"mixer_{branch}_{i}.bias"] = (schedule[i - 1],)
-    layout["gate.fc1.weight"] = (2 * c, hid)
-    layout["gate.fc1.bias"] = (hid,)
-    layout["gate.fc2.weight"] = (hid, heads * c)
-    layout["gate.fc2.bias"] = (heads * c,)
+    if full or cfg.amwg_enabled:
+        layout["gate.fc1.weight"] = (2 * c, hid)
+        layout["gate.fc1.bias"] = (hid,)
+        layout["gate.fc2.weight"] = (hid, heads * c)
+        layout["gate.fc2.bias"] = (heads * c,)
     return MappingProxyType(layout)
 
 
 def init_params(cfg: ModelConfig, seed: int, dtype=np.float32) -> ParamSet:
-    """Seeded init of the model's tensors (see ``init_layout``)."""
-    return init_layout(param_layout(cfg), seed, dtype)
+    """Seeded init of the tensors ``cfg`` uses (see ``init_layout``). The
+    full model's tensors are drawn and the unused ones dropped, so a tensor
+    starts from the same values under every ablation."""
+    layout = param_layout(cfg)
+    params = init_layout(param_layout(cfg, full=True), seed, dtype)
+    return params if params.layout() == layout else ParamSet({n: params[n] for n in layout})
 
 
 def init_layout(layout: dict[str, tuple[int, ...]], seed: int,
@@ -487,10 +495,6 @@ def model_backward(d_final: np.ndarray, d_granularity: list[np.ndarray],
     (stats, patches, u_s, u_t, trend_acts, y_s, y_t, y_sum, weights,
      gate_saved) = saved
     grads = params.empty_like()  # each tensor is written once, by its stage
-    unused = ("mixer_",) * (not cfg.mim_enabled) + ("gate.",) * (gate_saved is None)
-    for name, grad in grads.items():  # tensors an ablation leaves unused get zeros
-        if name.startswith(unused):
-            grad.fill(0)
     std = stats.std[:, None, :]
     # contiguous (B, C, F) rows for the banded products of the reverse
     # (no copy: the loss gradients are channel-major like ``final``)

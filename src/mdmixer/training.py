@@ -20,7 +20,7 @@ from .baselines import forecaster
 from .config import BaselineConfig, ModelConfig, TrainSettings, config_echo
 from .data import WindowBatch
 from .evaluation import csv_line, evaluate, write_lines
-from .model import ParamSet, init_layout
+from .model import ParamSet
 from .preprocess import band_blocks, band_matmul, channel_major
 
 
@@ -161,7 +161,7 @@ def backward(x: np.ndarray, y_true: np.ndarray, params: ParamSet,
     the forward pass, the loss with its gradients, then the stages'
     reverse passes."""
     y_true = np.asarray(y_true, dtype=params.dtype)
-    _, forward_with_context, reverse = forecaster(cfg)
+    _, _, forward_with_context, reverse = forecaster(cfg)
     output, saved = forward_with_context(x, params, cfg)
     breakdown, d_final, d_granularity = _loss(
         output.final, output.per_granularity, y_true, cfg)
@@ -264,8 +264,8 @@ def train(cfg: ModelConfig | BaselineConfig, train_windows: WindowBatch,
     if len(train_windows) == 0 or len(val_windows) == 0:
         raise ValueError("train and val splits must be non-empty")
     started = time.perf_counter()
-    layout, _, _ = forecaster(cfg)
-    params = init_layout(layout, settings.seed)
+    _, init, _, _ = forecaster(cfg)
+    params = init(cfg, settings.seed)
     state = init_optimizer(params, settings)
     rng = np.random.default_rng(settings.seed)
 
@@ -339,8 +339,8 @@ def gradcheck(cfg: ModelConfig | BaselineConfig, seed: int, h: float = 1e-5,
               tol: float = 1e-4, batch: int = 3) -> GradCheckReport:
     """Compare the reverse pass against central finite differences over
     every parameter entry, on one fixed random batch, in float64."""
-    layout, forward_with_context, _ = forecaster(cfg)
-    params = init_layout(layout, seed, dtype=np.float64)
+    _, init, forward_with_context, _ = forecaster(cfg)
+    params = init(cfg, seed, dtype=np.float64)
     rng = np.random.default_rng(seed + 1)
     x = rng.normal(0.0, 1.0, size=(batch, cfg.lookback, cfg.channels))
     y_true = rng.normal(0.0, 1.0, size=(batch, cfg.horizon, cfg.channels))

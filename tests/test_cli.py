@@ -319,3 +319,21 @@ def test_train_rerun_is_idempotent(tmp_path):
     assert main(["train", "--config", str(cfg_path), "--seed", "1"]) == 0
     assert (out / "seed1.ckpt").read_bytes() == first
     assert (out / "metrics.csv").read_bytes() == first_metrics
+
+
+@pytest.mark.parametrize("trained_mim, run_mim, needle", [
+    ("false", "true", "missing tensor 'mixer_s_2.weight'"),
+    ("true", "false", "unexpected tensor 'mixer_s_2.weight'"),
+])
+def test_checkpoint_of_another_mim_setting_exits_2(tmp_path, capsys, trained_mim,
+                                                   run_mim, needle):
+    """A checkpoint holds only the tensors its config uses, so one trained
+    with MIM off lacks the mixers MIM on needs, and the other way round."""
+    cfg_path, out = write_config(tmp_path, f"{SYNTH_CONFIG}model.use_mim = {trained_mim}\n")
+    assert main(["train", "--config", str(cfg_path), "--seed", "1"]) == 0
+    other, _ = write_config(tmp_path / "other", f"{SYNTH_CONFIG}model.use_mim = {run_mim}\n")
+    code = main(["eval", "--config", str(other), "--checkpoint",
+                 str(out / "seed1.ckpt"), "--out", str(tmp_path / "e")])
+    assert code == 2
+    assert needle in capsys.readouterr().err
+    assert not (tmp_path / "e").exists()

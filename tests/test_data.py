@@ -244,6 +244,15 @@ def test_shuffled_batches_are_gathered_channel_major():
             assert np.shares_memory(channel_major(got, np.float32), got)
 
 
+@pytest.mark.parametrize("cut", [-1, 1])
+def test_window_batches_reject_order_of_another_length(cut):
+    windows = make_windows(make_frame(np.arange(30, dtype=np.float32)), 5, 3)
+    order = np.arange(len(windows) + cut) % len(windows)
+    with pytest.raises(ValueError, match=f"order holds {len(order)} indices "
+                                         f"for {len(windows)} windows"):
+        list(windows.batches(4, order))
+
+
 @pytest.mark.parametrize("batch_size", [0, -3])
 def test_window_batches_reject_size_below_one(batch_size):
     windows = make_windows(make_frame(np.arange(30, dtype=np.float32)), 5, 3)

@@ -9,12 +9,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from mdmixer.baselines import init_baseline_params
+from mdmixer.baselines import forecaster, init_baseline_params
 from mdmixer.config import BaselineConfig, ModelConfig, SynthChannel, \
     TrainSettings
 from mdmixer.data import chronological_split, make_windows, standardize, \
     synth_multiscale, SplitSpec
-from mdmixer.model import ParamSet, forward, init_params
+from mdmixer.model import ParamSet, forward, init_params, param_layout
 from mdmixer.training import ADAMW_BLOCK, TrainingDiverged, \
     adamw_step, alignment_targets, backward, gradcheck, init_optimizer, main_loss, \
     total_loss, train, _pool_matrix
@@ -386,9 +386,10 @@ def test_entry_points_reach_the_forward_through_its_module(kind, monkeypatch):
                 if value is original:
                     monkeypatch.setattr(module, key, wrapper)
     cfg, params = _family(kind)
-    layout, _, _ = baselines.forecaster(cfg)
-    assert layout == (model.param_layout(cfg) if kind == "mdmixer"
-                      else baselines.baseline_param_layout(cfg))
+    layout, init, _, _ = baselines.forecaster(cfg)
+    assert (layout, init) == (
+        (param_layout(cfg), model.init_params) if kind == "mdmixer"
+        else (baselines.baseline_param_layout(cfg), baselines.init_baseline_params))
     expected = "forward_with_context" if kind == "mdmixer" \
         else "baseline_forward_with_context"
     rng = np.random.default_rng(5)
@@ -401,20 +402,26 @@ def test_entry_points_reach_the_forward_through_its_module(kind, monkeypatch):
         assert calls == [expected] * count
 
 
-def test_backward_unused_parameters_get_zero_grad():
+@pytest.mark.parametrize("switch, dropped", [
+    pytest.param("use_mim", ("mixer_",), id="mim_off"),
+    pytest.param("use_amwg", ("gate.",), id="amwg_off"),
+    pytest.param("use_mpp", ("mixer_", "gate."), id="mpp_off")])
+def test_layout_drops_unused_parameters(switch, dropped):
+    """An ablation's layout, and so its parameters and gradients, holds no
+    tensor of the component it switches off, and every other one."""
+    full = param_layout(ModelConfig(**TINY))
+    assert any(n.startswith("mixer_") for n in full)
+    assert any(n.startswith("gate.") for n in full)
+    cfg = ModelConfig(**{**TINY, switch: False})
+    layout = param_layout(cfg)
+    assert not [n for n in layout if n.startswith(dropped)]
+    if switch != "use_mpp":  # one head: the head tensors change shape
+        assert dict(layout) == {n: s for n, s in full.items()
+                                if not n.startswith(dropped)}
     rng = np.random.default_rng(8)
-    x = rand_batch(rng, 3, 8, 2)
-    y = rand_batch(rng, 3, 4, 2)
-    cfg = ModelConfig(**{**TINY, "use_mim": False})
-    grads, _ = backward(x, y, init_params(cfg, 0), cfg)
-    for name in grads.names():
-        if name.startswith("mixer_"):
-            assert not grads[name].any(), name
-    cfg = ModelConfig(**{**TINY, "use_amwg": False})
-    grads, _ = backward(x, y, init_params(cfg, 0), cfg)
-    for name in grads.names():
-        if name.startswith("gate."):
-            assert not grads[name].any(), name
+    grads, _ = backward(rand_batch(rng, 3, 8, 2), rand_batch(rng, 3, 4, 2),
+                        init_params(cfg, 0), cfg)
+    assert grads.layout() == layout
 
 
 def test_backward_matches_finite_differences(tiny_cfg):
@@ -522,8 +529,9 @@ def test_backward_writes_every_gradient(kw, monkeypatch):
     """The reverse pass writes its gradients into an uninitialised arena
     (``ParamSet.empty_like``), so every entry must be written: with the
     arena filled with NaN beforehand, and again with zeros, the gradients
-    must be finite and the same bytes. C=7, T=96, F=96 unless stated, on
-    the trained shapes and the three baselines."""
+    must be finite and the same bytes. No tensor's gradient is all zero,
+    since a layout holds only tensors the forecast uses. C=7, T=96, F=96
+    unless stated, on the trained shapes and the three baselines."""
     shape = {"lookback": 96, "horizon": 96, "channels": 7, **kw}
     cfg = BaselineConfig(**shape) if "kind" in kw else ModelConfig(**shape)
     params = (init_baseline_params if "kind" in kw else init_params)(cfg, 0)
@@ -543,8 +551,29 @@ def test_backward_writes_every_gradient(kw, monkeypatch):
         assert len(arenas) == 1 and grads.flat is arenas[0].flat
         bad = [n for n, g in grads.items() if not np.isfinite(g).all()]
         assert not bad, (fill, bad)
+        zero = [n for n, g in grads.items() if not g.any()]
+        assert not zero, (fill, zero)
         runs.append(grads.flat.tobytes())
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("kw", TRAINED_SHAPES)
+def test_init_draws_the_full_models_stream(kw):
+    """A tensor starts from the same bytes under every ablation: each
+    config's init equals the full model's (every component on, at the
+    config's heads) on the tensors it keeps, and the init ``forecaster``
+    hands to ``train`` is the same. C=7, T=96, F=96 unless stated."""
+    cfg = ModelConfig(**{"lookback": 96, "horizon": 96, "channels": 7, **kw})
+    params = init_params(cfg, 3)
+    full = init_params(replace(cfg, use_mim=True, use_amwg=True, use_mpp=True,
+                               heads=cfg.num_heads), 3)
+    assert set(params.names()) <= set(full.names())
+    for name, arr in params.items():
+        assert arr.tobytes() == full[name].tobytes(), name
+    _, init, _, _ = forecaster(cfg)
+    again = init(cfg, 3)
+    assert again.layout() == params.layout() == param_layout(cfg)
+    assert again.flat.tobytes() == params.flat.tobytes()
 
 
 # ---------------------------------------------------------------------------
