@@ -46,10 +46,9 @@ def baseline_forward(x: np.ndarray, params: ParamSet,
 
 def baseline_forward_with_context(x: np.ndarray, params: ParamSet,
                                   cfg: BaselineConfig):
-    """The forecast as a ``ForecastOutput`` with no heads, plus the
-    intermediates ``baseline_backward`` reads: the instance stats and, per
-    branch, its name, its (B*C x T) input and the trend MLP's hidden
-    activation (None for a linear map)."""
+    """The forecast as a ``ForecastOutput`` with no heads, plus what
+    ``baseline_backward`` reads: per branch, its name, its (B*C x T) input
+    and the trend MLP's hidden activation (None for a linear map)."""
     x_norm, stats = front_end(x, params, cfg, baseline_param_layout(cfg))
     b, t, c = x_norm.shape  # channel-major: each series reshapes to (B*C, T) rows
     if cfg.kind == "linear_direct":
@@ -71,25 +70,21 @@ def baseline_forward_with_context(x: np.ndarray, params: ParamSet,
     output = ForecastOutput(
         final=instance_denormalize(out.reshape(b, c, -1).transpose(0, 2, 1), stats),
         gate_weights=np.empty((b, 0, c), dtype=params.dtype), heads=[], stats=stats)
-    return output, (stats, branches)
+    return output, branches
 
 
-def baseline_backward(d_final: np.ndarray, d_granularity: list[np.ndarray],
-                      saved: tuple, params: ParamSet, cfg: BaselineConfig) -> ParamSet:
-    """Gradients of every parameter tensor from the loss gradient at the
-    forecast (B x F x C); ``d_granularity`` is empty (no heads). Branch
-    inputs are constants, so each branch's first layer computes parameter
-    gradients only."""
-    stats, branches = saved
-    grads = params.empty_like()  # each branch writes its own tensors
-    d_norm = (d_final * stats.std[:, None, :]).transpose(0, 2, 1)
-    d_out = d_norm.reshape(-1, cfg.horizon).astype(params.dtype, copy=False)
+def baseline_backward(d_fused: np.ndarray, d_heads: list, branches: list,
+                      params: ParamSet, grads: ParamSet, cfg: BaselineConfig):
+    """Write every parameter tensor's gradient into ``grads`` from the loss
+    gradient at the normalized forecast (B x C x F); ``d_heads`` is empty
+    (no heads). Branch inputs are constants, so each branch's first layer
+    computes parameter gradients only."""
+    d_out = d_fused.reshape(-1, cfg.horizon)
     for name, flat, act in branches:
         if act is None:
             linear_backward(d_out, flat, params, grads, name, input_grad=False)
         else:
             mlp_backward(d_out, flat, act, params, grads, name, input_grad=False)
-    return grads
 
 
 def forecaster(cfg: ModelConfig | BaselineConfig) -> tuple:

@@ -18,7 +18,7 @@ class ConfigError(ValueError):
 
 def _check_min(cfg, minimum, *names):
     for name in names:
-        if getattr(cfg, name) < minimum:
+        if not getattr(cfg, name) >= minimum:  # so NaN fails too
             raise ConfigError(f"{name} must be >= {minimum}, got {getattr(cfg, name)}")
 
 
@@ -123,7 +123,7 @@ class TrainSettings:
     seed: int = 0
 
     def __post_init__(self):
-        _check_min(self, 0, "lr")
+        _check_min(self, 0, "lr", "weight_decay")
         _check_min(self, 1, "batch_size", "max_epochs")
         _check_min(self, 0, "patience")
 
@@ -138,9 +138,9 @@ class SynthChannel:
     noise: float
 
     def __post_init__(self):
-        if self.period < 2:
+        if not self.period >= 2:
             raise ConfigError(f"synthetic channel period must be >= 2, got {self.period}")
-        if self.noise < 0:
+        if not self.noise >= 0:
             raise ConfigError(f"synthetic channel noise must be >= 0, got {self.noise}")
 
 
@@ -178,7 +178,7 @@ class RunConfig:
         if self.synth_length is not None and not self.synth_channels:
             raise ConfigError("data.synth_channels required with data.synth_length")
         total = sum(self.ratios)
-        if any(r < 0 for r in self.ratios) or abs(total - 1.0) > 1e-6:
+        if not (all(r >= 0 for r in self.ratios) and abs(total - 1.0) <= 1e-6):
             raise ConfigError(f"split ratios must be nonnegative and sum to 1, "
                               f"got {self.ratios} (sum {total:g})")
         if not self.seeds:

@@ -31,9 +31,9 @@ class SplitSpec:
     horizon: int
 
     def __post_init__(self):
-        if any(r < 0 for r in self.ratios):
+        if not all(r >= 0 for r in self.ratios):  # NaN fails too
             raise ConfigError(f"split ratios must be nonnegative, got {self.ratios}")
-        if abs(sum(self.ratios) - 1.0) > 1e-6:
+        if not abs(sum(self.ratios) - 1.0) <= 1e-6:
             raise ConfigError(f"split ratios must sum to 1, got {self.ratios}")
         if self.lookback < 1 or self.horizon < 1:
             raise ConfigError("lookback and horizon must be positive")

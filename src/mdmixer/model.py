@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from pathlib import Path
 from types import MappingProxyType
@@ -127,6 +127,17 @@ class ForecastOutput:
         return [instance_denormalize(y.transpose(0, 2, 1), self.stats)
                 for y in self.heads]
 
+    def restore_backward(self, d_final: np.ndarray, d_granularity: list[np.ndarray],
+                         dtype) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Reverse of restoring ``final`` and ``per_granularity``: their loss
+        gradients (B x L x C) at the normalized forecasts, as C-contiguous
+        (B x C x L) rows in ``dtype``; the stats are constants of the input."""
+        std = self.stats.std[:, None, :]
+        # no copy: the loss gradients are channel-major like ``final``
+        rows = [np.ascontiguousarray((d * std).transpose(0, 2, 1), dtype)
+                for d in (d_final, *d_granularity)]
+        return rows[0], rows[1:]
+
 
 def granularity_schedule(horizon: int, heads: int) -> list[int]:
     """Output lengths of the parallel heads: multiples of F/H up to F."""
@@ -139,11 +150,9 @@ def granularity_schedule(horizon: int, heads: int) -> list[int]:
 
 
 @lru_cache(maxsize=64)
-def param_layout(cfg: ModelConfig,
-                 full: bool = False) -> MappingProxyType[str, tuple[int, ...]]:
+def param_layout(cfg: ModelConfig) -> MappingProxyType[str, tuple[int, ...]]:
     """Canonical name -> shape map of the tensors ``cfg`` uses (cached,
-    read-only): the mixers only with MIM on, the gate only with AMWG on.
-    ``full`` lists the full model's tensors at ``cfg``'s heads instead."""
+    read-only): the mixers only with MIM on, the gate only with AMWG on."""
     n, d, p = cfg.num_patches, cfg.embed_dim, cfg.patch_len
     c, hid = cfg.channels, cfg.hidden
     heads = cfg.num_heads
@@ -163,11 +172,11 @@ def param_layout(cfg: ModelConfig,
         layout[f"trend_head_{i}.fc1.bias"] = (hid,)
         layout[f"trend_head_{i}.fc2.weight"] = (hid, g)
         layout[f"trend_head_{i}.fc2.bias"] = (g,)
-    for branch in ("s", "t") if full or cfg.mim_enabled else ():
+    for branch in ("s", "t") if cfg.mim_enabled else ():
         for i in range(2, heads + 1):
             layout[f"mixer_{branch}_{i}.weight"] = (schedule[i - 2], schedule[i - 1])
             layout[f"mixer_{branch}_{i}.bias"] = (schedule[i - 1],)
-    if full or cfg.amwg_enabled:
+    if cfg.amwg_enabled:
         layout["gate.fc1.weight"] = (2 * c, hid)
         layout["gate.fc1.bias"] = (hid,)
         layout["gate.fc2.weight"] = (hid, heads * c)
@@ -180,7 +189,8 @@ def init_params(cfg: ModelConfig, seed: int, dtype=np.float32) -> ParamSet:
     full model's tensors are drawn and the unused ones dropped, so a tensor
     starts from the same values under every ablation."""
     layout = param_layout(cfg)
-    params = init_layout(param_layout(cfg, full=True), seed, dtype)
+    params = init_layout(param_layout(replace(
+        cfg, use_mpp=True, use_mim=True, use_amwg=True, heads=cfg.num_heads)), seed, dtype)
     return params if params.layout() == layout else ParamSet({n: params[n] for n in layout})
 
 
@@ -300,14 +310,12 @@ def mpp_seasonal(u: np.ndarray, params: ParamSet,
 
 
 def mim(z_list: list[np.ndarray],
-        mixers: list[tuple[np.ndarray, np.ndarray]] | None) -> list[np.ndarray]:
+        mixers: list[tuple[np.ndarray, np.ndarray]]) -> list[np.ndarray]:
     """Coarse-to-fine accumulation: each head adds a linear map of the
     previous (coarser) mixed output, ``(z + mixed @ weight) + bias``, run
     by ``linear`` as one GEMM over all B·C rows (a stacked (B, C, G)
     matmul would be B small ones). ``mixers`` holds one (weight, bias)
-    pair per head from the second on; None bypasses mixing entirely."""
-    if mixers is None:
-        return list(z_list)
+    pair per head from the second on."""
     if len(mixers) != len(z_list) - 1:
         raise ValueError(f"expected {len(z_list) - 1} mixers, got {len(mixers)}")
     mixed = [z_list[0]]
@@ -413,13 +421,12 @@ def fuse_backward(d_fused: np.ndarray, heads: list[np.ndarray],
     """Reverse of ``fuse``: the gradient at each head (B x C x G_i) and at
     the weights (B x H x C), both from the head's ``upsample_backward``."""
     scale = weights + 1.0 / len(heads)
-    d_heads = []
-    d_weights = np.empty_like(weights)
+    d_heads, d_weights = [], []
     for i, y in enumerate(heads):
         v = upsample_backward(d_fused, y.shape[-1])
-        d_weights[:, i] = (v * y).sum(axis=2)
+        d_weights.append((v * y).sum(axis=2))
         d_heads.append(scale[:, i, :, None] * v)
-    return d_heads, d_weights
+    return d_heads, np.stack(d_weights, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -463,9 +470,8 @@ def forward_with_context(x: np.ndarray, params: ParamSet,
     z_s = mpp_seasonal(u_s, params, schedule)
     z_t, trend_acts = zip(*(mlp(u_t, params, f"trend_head_{i}")
                             for i in range(1, heads + 1)))
-    y_s, y_t = (mim(z, [_affine(params, f"mixer_{br}_{i}")
-                        for i in range(2, heads + 1)] if cfg.mim_enabled else None)
-                for z, br in ((z_s, "s"), (z_t, "t")))
+    y_s, y_t = (mim(z, [_affine(params, f"mixer_{br}_{i}") for i in range(2, heads + 1)])
+                if cfg.mim_enabled else list(z) for z, br in ((z_s, "s"), (z_t, "t")))
 
     y_sum = [a + bb for a, bb in zip(y_s, y_t)]
     # without the gate the fusion runs with zero weights: the residual
@@ -481,35 +487,27 @@ def forward_with_context(x: np.ndarray, params: ParamSet,
         gate_weights=weights if cfg.amwg_enabled
         else np.full((b, heads, c), 1.0 / heads, dtype=dtype),
         heads=y_sum, stats=stats)
-    saved = (stats, patches, u_s, u_t, trend_acts, y_s, y_t, y_sum,
-             weights, gate_saved)
+    saved = (patches, u_s, u_t, trend_acts, y_s, y_t, y_sum, weights, gate_saved)
     return output, saved
 
 
-def model_backward(d_final: np.ndarray, d_granularity: list[np.ndarray],
-                   saved: tuple, params: ParamSet, cfg: ModelConfig) -> ParamSet:
-    """Gradients of every parameter tensor from the loss gradients at
-    ``final`` (B x F x C) and each ``per_granularity`` series (B x G_i x C).
-    Instance statistics depend only on the inputs, never on parameters, so
-    they enter the reverse pass as constants."""
-    (stats, patches, u_s, u_t, trend_acts, y_s, y_t, y_sum, weights,
-     gate_saved) = saved
-    grads = params.empty_like()  # each tensor is written once, by its stage
-    std = stats.std[:, None, :]
-    # contiguous (B, C, F) rows for the banded products of the reverse
-    # (no copy: the loss gradients are channel-major like ``final``)
-    d_fused = np.ascontiguousarray((d_final * std).transpose(0, 2, 1), params.dtype)
-    d_heads, d_weights = fuse_backward(d_fused, y_sum, weights)
+def model_backward(d_fused: np.ndarray, d_heads: list[np.ndarray], saved: tuple,
+                   params: ParamSet, grads: ParamSet, cfg: ModelConfig):
+    """Write every parameter tensor's gradient into ``grads`` from the loss
+    gradients at the normalized forecast (B x C x F) and at each normalized
+    head (B x C x G_i), the rows ``ForecastOutput.restore_backward`` gives."""
+    patches, u_s, u_t, trend_acts, y_s, y_t, y_sum, weights, gate_saved = saved
+    d_fused_heads, d_weights = fuse_backward(d_fused, y_sum, weights)
     d_gate = (0.0, 0.0)
     if gate_saved is not None:
         d_gate = amwg_backward(d_weights, gate_saved, params, grads)
 
     # each per-granularity forecast is the sum of both branches; the
-    # alignment loss reaches it directly
-    d_y = [d + (d_g * std).transpose(0, 2, 1)
-           for d, d_g in zip(d_heads, d_granularity)]
-    d_z_s, d_z_t = (mim_backward(d_y, y, params, grads, br) if cfg.mim_enabled
-                    else d_y for y, br in ((y_s, "s"), (y_t, "t")))
+    # alignment loss reaches it directly (its rows are this pass's own)
+    for d_y, d in zip(d_heads, d_fused_heads):
+        d_y += d
+    d_z_s, d_z_t = (mim_backward(d_heads, y, params, grads, br) if cfg.mim_enabled
+                    else d_heads for y, br in ((y_s, "s"), (y_t, "t")))
 
     d_u_s, d_u_t = np.zeros_like(u_s), np.zeros_like(u_t)
     for i, (d_s, d_t, act) in enumerate(zip(d_z_s, d_z_t, trend_acts), start=1):
@@ -517,7 +515,6 @@ def model_backward(d_final: np.ndarray, d_granularity: list[np.ndarray],
         d_u_t += mlp_backward(d_t, u_t, act, params, grads, f"trend_head_{i}")
     for br, d_u, p, d_g in zip("st", (d_u_s, d_u_t), patches, d_gate):
         embed_backward(d_u.reshape(*p.shape[:3], -1) + d_g, p, params, grads, br)
-    return grads
 
 
 # ---------------------------------------------------------------------------

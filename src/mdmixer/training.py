@@ -2,9 +2,9 @@
 checker.
 
 ``backward`` runs the forward pass of the config's family
-(``baselines.forecaster``), computes the loss and its gradients once, and
-hands them to that family's reverse pass, where each stage's hand-derived
-gradient sits next to its forward.
+(``baselines.forecaster``), computes the loss gradients once, and hands
+them in the normalized scale, with the one gradient arena, to that family's
+reverse pass, where each stage's hand-derived gradient sits next to its forward.
 """
 
 from __future__ import annotations
@@ -158,15 +158,19 @@ def _check_finite(breakdown: LossBreakdown):
 def backward(x: np.ndarray, y_true: np.ndarray, params: ParamSet,
              cfg: ModelConfig | BaselineConfig) -> tuple[ParamSet, LossBreakdown]:
     """Exact gradients of the total loss w.r.t. every parameter tensor:
-    the forward pass, the loss with its gradients, then the stages'
-    reverse passes."""
+    the forward pass, the loss with its gradients, the reverse of the
+    instance-scale restore, then the family's reverse pass, which writes
+    each tensor's gradient once into the arena allocated here."""
     y_true = np.asarray(y_true, dtype=params.dtype)
     _, _, forward_with_context, reverse = forecaster(cfg)
     output, saved = forward_with_context(x, params, cfg)
     breakdown, d_final, d_granularity = _loss(
         output.final, output.per_granularity, y_true, cfg)
     _check_finite(breakdown)
-    return reverse(d_final, d_granularity, saved, params, cfg), breakdown
+    grads = params.empty_like()
+    reverse(*output.restore_backward(d_final, d_granularity, params.dtype),
+            saved, params, grads, cfg)
+    return grads, breakdown
 
 
 # ---------------------------------------------------------------------------

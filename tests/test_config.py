@@ -15,6 +15,7 @@ only at a commit whose rendering is the reference.
 import dataclasses
 import json
 import math
+import re
 from concurrent.futures import Future
 from pathlib import Path
 
@@ -22,8 +23,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mdmixer.cli import main
-from mdmixer.config import KEYS, ConfigError, SynthChannel, load_config, \
-    parse_config_text, render_config
+from mdmixer.config import KEYS, ConfigError, ModelConfig, RunConfig, SynthChannel, \
+    TrainSettings, load_config, parse_config_text, render_config
 from mdmixer.evaluation import MetricRow
 
 from test_cli import SYNTH_CONFIG, write_config
@@ -118,6 +119,7 @@ BASE = "data.channels = 2\n"
     ("model.pos_encoding = rotary\n",
      "pos_encoding must be 'shared' or 'per_channel', got 'rotary'"),
     ("train.lr = -0.1\n", "lr must be >= 0, got -0.1"),
+    ("train.weight_decay = -0.5\n", "weight_decay must be >= 0, got -0.5"),
     ("model.align_weight = -1\n", "align_weight must be >= 0, got -1.0"),
     ("train.batch_size = 0\n", "batch_size must be >= 1, got 0"),
     ("model.patch_len = 100\n", "patch_len (100) must not exceed lookback (96)"),
@@ -126,7 +128,7 @@ BASE = "data.channels = 2\n"
         "negative_synth_seed", "synth_arity", "synth_non_numeric",
         "synth_empty", "synth_period", "synth_noise", "synth_length_alone",
         "ratio_sum", "model_kind", "head_divisibility", "even_kernel",
-        "baseline_even_kernel", "pos_encoding", "negative_lr",
+        "baseline_even_kernel", "pos_encoding", "negative_lr", "negative_weight_decay",
         "negative_align_weight", "zero_batch_size", "patch_len_over_lookback"])
 def test_bad_input_message(text, message):
     with pytest.raises(ConfigError) as exc:
@@ -182,6 +184,25 @@ def test_non_finite_synth_channel_rejected(entry):
         f"data.synth_channels entry {entry!r} has a non-finite field"
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: ModelConfig(8, 4, 2, patch_len=4, heads=2, align_weight=math.nan),
+     "align_weight must be >= 0, got nan"),
+    (lambda: TrainSettings(lr=math.nan), "lr must be >= 0, got nan"),
+    (lambda: TrainSettings(weight_decay=math.nan), "weight_decay must be >= 0, got nan"),
+    (lambda: SynthChannel(math.nan, 1.0, 0.0, 0.1),
+     "synthetic channel period must be >= 2, got nan"),
+    (lambda: SynthChannel(8.0, 1.0, 0.0, math.nan),
+     "synthetic channel noise must be >= 0, got nan"),
+    (lambda: RunConfig(channels=2, ratios=(math.nan, 0.5, 0.5)).validate(),
+     "split ratios must be nonnegative and sum to 1"),
+], ids=["align_weight", "lr", "weight_decay", "period", "noise", "run_ratios"])
+def test_nan_fails_the_range_checks(build, message):
+    """Every range check is written so that NaN, which compares false
+    against any bound, fails it rather than passing."""
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        build()
+
+
 def test_duplicate_seeds_rejected():
     with pytest.raises(ConfigError) as exc:
         parse_config_text(BASE + "seeds = 1,2,1\n")
@@ -208,8 +229,9 @@ def test_synth_channels_render_exactly():
     (lambda text: text.replace("seeds = 1,2", "seeds = 1,-2"), "seeds"),
     (lambda text: text.replace("data.synth_seed = 3", "data.synth_seed = -1"),
      "data.synth_seed"),
+    (lambda text: text + "train.weight_decay = -0.5\n", "weight_decay must be >= 0"),
 ], ids=["nan_ratio", "inf_align_weight", "nan_period", "duplicate_seeds",
-        "negative_seed", "negative_synth_seed"])
+        "negative_seed", "negative_synth_seed", "negative_weight_decay"])
 def test_cli_rejects_bad_values_with_exit_2(tmp_path, capsys, edit, needle):
     cfg_path, out = write_config(tmp_path)
     cfg_path.write_text(edit(cfg_path.read_text()))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mdmixer.config import SynthChannel
+from mdmixer.config import ConfigError, SynthChannel
 from mdmixer.data import DataError, SplitSpec, chronological_split, load_csv, \
     make_windows, standardize, synth_multiscale
 from mdmixer.preprocess import channel_major
@@ -133,6 +133,14 @@ def test_split_explicit_boundaries():
     assert (train[0, 0], train[-1, 0]) == (0, 69)
     assert (val[0, 0], val[-1, 0]) == (60, 79)
     assert (test[0, 0], test[-1, 0]) == (70, 99)
+
+
+@pytest.mark.parametrize("ratios, message", [
+    ((math.nan, 0.5, 0.5), "nonnegative"), ((0.5, 0.5, math.nan), "nonnegative"),
+    ((-0.2, 0.6, 0.6), "nonnegative"), ((0.5, 0.5, 0.5), "sum to 1")])
+def test_split_spec_rejects_bad_ratios(ratios, message):
+    with pytest.raises(ConfigError, match=f"split ratios must .*{message}"):
+        SplitSpec(ratios=ratios, lookback=8, horizon=4)
 
 
 def test_split_degenerate_ratio_errors():

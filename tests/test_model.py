@@ -211,7 +211,7 @@ def test_mpp_trend_relu_kill(tiny_cfg):
 
 def test_mim_single_head():
     z = [np.ones((1, 1, 4))]
-    out = mim(z, mixers=None)
+    out = mim(z, [])
     assert len(out) == 1
     np.testing.assert_array_equal(out[0], z[0])
 

@@ -359,8 +359,59 @@ def test_arrays_stay_channel_major_from_window_to_loss(kind, monkeypatch):
         assert _rows(a)
     if kind != "mdmixer":
         from mdmixer.baselines import baseline_forward_with_context
-        _, (_, branches) = baseline_forward_with_context(x, params, cfg)
+        _, branches = baseline_forward_with_context(x, params, cfg)
         assert all(flat.base is not None for _, flat, _ in branches)  # reshapes, no copy
+
+
+def _leaves(obj):
+    """Every object inside nested tuples and lists."""
+    if isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from _leaves(item)
+    else:
+        yield obj
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kind", ["mdmixer", "linear_direct", "decomp_linear",
+                                  "dual_branch"])
+def test_reverse_gets_normalized_rows_and_the_arena(kind, dtype, monkeypatch):
+    """``backward`` allocates the one gradient arena and hands each family's
+    reverse the loss gradients as C-contiguous (B, C, F) and (B, C, G_i)
+    rows in the params' dtype, with a context that holds no instance stats;
+    the reverse writes every entry of that arena, which ``backward``
+    returns, and returns nothing itself."""
+    import mdmixer.baselines as baselines
+    from mdmixer.preprocess import InstanceStats
+    cfg, params = _family(kind)
+    params = params.astype(dtype)
+    arenas, calls = [], []
+    allocate = ParamSet.empty_like
+
+    def poisoned(self):
+        arenas.append(allocate(self))
+        arenas[-1].flat.fill(np.nan)
+        return arenas[-1]
+    monkeypatch.setattr(ParamSet, "empty_like", poisoned)
+    name = "model_backward" if kind == "mdmixer" else "baseline_backward"
+    original = getattr(baselines, name)
+
+    def spy(*args):
+        d_fused, d_heads, saved, _, grads, _ = args
+        calls.append([(a.shape, a.flags.c_contiguous, a.dtype)
+                      for a in (d_fused, *d_heads)])
+        assert not any(isinstance(o, InstanceStats) for o in _leaves(saved))
+        assert grads is arenas[-1]
+        assert original(*args) is None
+    monkeypatch.setattr(baselines, name, spy)
+    rng = np.random.default_rng(23)
+    x, y = rand_batch(rng, 3, 8, 2), rand_batch(rng, 3, 4, 2)
+    grads, _ = backward(x, y, params, cfg)
+    heads = [2, 4] if kind == "mdmixer" else []
+    assert calls == [[((3, 2, length), True, np.dtype(dtype))
+                      for length in (cfg.horizon, *heads)]]
+    assert len(arenas) == 1 and grads is arenas[0]
+    assert grads.layout() == params.layout() and np.isfinite(grads.flat).all()
 
 
 @pytest.mark.parametrize("kind", ["mdmixer", "linear_direct", "decomp_linear",
