@@ -16,10 +16,13 @@ class ConfigError(ValueError):
     """Raised when a configuration value violates an invariant."""
 
 
-def _check_min(cfg, minimum, *names):
+def _check_min(cfg, minimum, *names, what: str = "", finite: bool = False):
     for name in names:
-        if not getattr(cfg, name) >= minimum:  # so NaN fails too
-            raise ConfigError(f"{name} must be >= {minimum}, got {getattr(cfg, name)}")
+        value = getattr(cfg, name)
+        if not value >= minimum:  # so NaN fails too
+            raise ConfigError(f"{what}{name} must be >= {minimum}, got {value}")
+        if finite and not math.isfinite(value):
+            raise ConfigError(f"{what}{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -58,7 +61,7 @@ class ModelConfig:
         if self.patch_len > self.lookback:
             raise ConfigError(
                 f"patch_len ({self.patch_len}) must not exceed lookback ({self.lookback})")
-        _check_min(self, 0, "align_weight")
+        _check_min(self, 0, "align_weight", finite=True)
         if self.horizon % self.num_heads != 0:
             raise ConfigError(
                 f"heads ({self.num_heads}) must divide horizon ({self.horizon}) "
@@ -123,9 +126,14 @@ class TrainSettings:
     seed: int = 0
 
     def __post_init__(self):
-        _check_min(self, 0, "lr", "weight_decay")
+        _check_min(self, 0, "lr", "weight_decay", finite=True)
         _check_min(self, 1, "batch_size", "max_epochs")
         _check_min(self, 0, "patience")
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        if not 0 < self.eps < math.inf:
+            raise ConfigError(f"eps must be positive and finite, got {self.eps}")
 
 
 @dataclass(frozen=True)
@@ -138,10 +146,12 @@ class SynthChannel:
     noise: float
 
     def __post_init__(self):
-        if not self.period >= 2:
-            raise ConfigError(f"synthetic channel period must be >= 2, got {self.period}")
-        if not self.noise >= 0:
-            raise ConfigError(f"synthetic channel noise must be >= 0, got {self.noise}")
+        _check_min(self, 2, "period", what="synthetic channel ", finite=True)
+        _check_min(self, 0, "noise", what="synthetic channel ", finite=True)
+        for name in ("amplitude", "slope"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"synthetic channel {name} must be finite, "
+                                  f"got {getattr(self, name)}")
 
 
 @dataclass

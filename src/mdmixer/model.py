@@ -14,6 +14,9 @@ upsampled and added into one horizon-length output, and its reverse reads
 the same products. The per-head series are restored to the input scale
 only when ``per_granularity`` is read.
 
+Above ``fold_pays``'s row count, each head's first product reads the
+branch's series through its ``embed_operator``, no embedding formed.
+
 Everything is plain numpy; upsampling and its reverse run as banded
 operators (``preprocess.band_matmul``). Each stage's hand-derived reverse
 sits next to its forward, built from the ``linear``/``mlp`` ops the
@@ -28,6 +31,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from pathlib import Path
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -245,12 +249,13 @@ def _affine(tensors, name: str) -> tuple[np.ndarray, np.ndarray]:
 def linear(x: np.ndarray, weight: np.ndarray, bias: np.ndarray,
            residual: np.ndarray | None = None) -> np.ndarray:
     """``x @ weight + bias`` over the last axis as one matmul (weights shared
-    across leading axes); with ``residual``: ``(residual + x @ weight) + bias``."""
-    out = x.reshape(-1, x.shape[-1]) @ weight
+    across leading axes, ``bias`` broadcast against them); with
+    ``residual``: ``(residual + x @ weight) + bias``."""
+    out = (x.reshape(-1, x.shape[-1]) @ weight).reshape(*x.shape[:-1], weight.shape[-1])
     if residual is not None:
         out = residual.reshape(out.shape) + out
     out += bias
-    return out.reshape(*x.shape[:-1], out.shape[-1])
+    return out
 
 
 def linear_backward(dy: np.ndarray, x: np.ndarray, params: ParamSet,
@@ -266,22 +271,52 @@ def linear_backward(dy: np.ndarray, x: np.ndarray, params: ParamSet,
     return (dy_flat @ params[f"{name}.weight"].T).reshape(x.shape)
 
 
-def mlp(x: np.ndarray, params: ParamSet, name: str,
-        residual: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """``name.fc1`` -> ReLU -> ``name.fc2`` over the last axis, ``residual``
-    added as in ``linear``; returns the output and the hidden activation
-    the reverse needs."""
-    act = np.maximum(linear(x, *_affine(params, f"{name}.fc1")), 0)
+def head_product(x: np.ndarray, params: ParamSet, name: str, op=None) -> np.ndarray:
+    """``linear`` of the affine ``name`` on the embeddings ``x``; with the
+    branch's ``embed_operator`` ``op`` (E over c), ``x`` is the (B x C x T)
+    series and the product runs as ``x @ (E @ W) + (c @ W + b)``."""
+    weight, bias = _affine(params, name)
+    if op is not None:
+        folded = op @ weight
+        weight, bias = folded[:x.shape[-1]], folded[x.shape[-1]:] + bias
+    return linear(x, weight, bias)
+
+
+def _operator_grad(dy: np.ndarray, x: np.ndarray, op: np.ndarray) -> np.ndarray:
+    """The gradient at ``op @ W`` from ``dy`` at ``x @ E @ W + c @ W``:
+    ``x^T dy`` over ``dy`` summed per row of c."""
+    rows = dy.reshape(-1, op.shape[0] - x.shape[-1], dy.shape[-1])
+    return np.concatenate([x.reshape(-1, x.shape[-1]).T @ rows.reshape(-1, dy.shape[-1]),
+                           rows.sum(axis=0)])
+
+
+def head_product_backward(dy: np.ndarray, x: np.ndarray, params: ParamSet,
+                          grads: ParamSet, name: str, input_grad=True, op=None):
+    """Reverse of ``head_product``: the gradient at the embeddings, or with
+    ``op`` at the operator, so no embedding gradient is formed."""
+    if op is None:
+        return linear_backward(dy, x, params, grads, name, input_grad)
+    d_folded = _operator_grad(dy, x, op)
+    np.matmul(op.T, d_folded, out=grads[f"{name}.weight"])
+    np.sum(d_folded[x.shape[-1]:], axis=0, out=grads[f"{name}.bias"])
+    return d_folded @ params[f"{name}.weight"].T
+
+
+def mlp(x: np.ndarray, params: ParamSet, name: str, residual: np.ndarray | None = None,
+        op=None) -> tuple[np.ndarray, np.ndarray]:
+    """``name.fc1`` (a ``head_product``) -> ReLU -> ``name.fc2`` over the
+    last axis, ``residual`` added as in ``linear``; returns the output and
+    the hidden activation the reverse needs."""
+    act = np.maximum(head_product(x, params, f"{name}.fc1", op), 0)
     return linear(act, *_affine(params, f"{name}.fc2"), residual), act
 
 
 def mlp_backward(dy: np.ndarray, x: np.ndarray, act: np.ndarray,
-                 params: ParamSet, grads: ParamSet, name: str,
-                 input_grad: bool = True):
+                 params: ParamSet, grads: ParamSet, name: str, input_grad=True, op=None):
     d_act = linear_backward(dy, act, params, grads, f"{name}.fc2")
     # act > 0 exactly where the pre-activation is > 0
-    return linear_backward(d_act * (act > 0), x, params, grads, f"{name}.fc1",
-                           input_grad)
+    return head_product_backward(d_act * (act > 0), x, params, grads,
+                                 f"{name}.fc1", input_grad, op)
 
 
 def embed(patches: np.ndarray, weight: np.ndarray, bias: np.ndarray,
@@ -301,11 +336,44 @@ def embed_backward(d_xd: np.ndarray, patches: np.ndarray, params: ParamSet,
                     input_grad=False)
 
 
-def mpp_seasonal(u: np.ndarray, params: ParamSet,
-                 schedule: list[int]) -> list[np.ndarray]:
-    """One direct linear map per head, flattened embeddings -> length G_i.
-    Weights are shared across channels."""
-    return [linear(u, *_affine(params, f"season_head_{i}"))
+def fold_pays(rows: int, lookback: int, width: int, offset_rows: int) -> bool:
+    """Whether a head's first product costs fewer multiply-adds per output
+    column folded, ``(lookback + offset_rows) x width + rows x lookback``,
+    than on the embeddings, ``rows x width``."""
+    return rows * (width - lookback) > (lookback + offset_rows) * width
+
+
+def _unit_patches(cfg: ModelConfig, dtype) -> np.ndarray:
+    """(T x N x P) patches of the unit series: 1 where patch n reads step t."""
+    eye = np.eye(cfg.lookback, dtype=dtype)[None]
+    return patch(eye, cfg.patch_len, cfg.stride).patches[0]
+
+
+def embed_operator(params: ParamSet, branch: str, cfg: ModelConfig) -> np.ndarray:
+    """``embed`` of a branch's patches as an affine map of its series,
+    flattened per channel, ``x @ E + c``: E (T x N*D) stacked over c (one
+    row with shared positional encodings, C rows with per-channel ones)."""
+    weight, bias = _affine(params, f"embed_{branch}")
+    e = (_unit_patches(cfg, weight.dtype) @ weight).reshape(cfg.lookback, -1)
+    return np.concatenate([e, (params[f"pos_{branch}"] + bias).reshape(-1, e.shape[1])])
+
+
+def embed_operator_backward(d_op: np.ndarray, params: ParamSet, grads: ParamSet,
+                            branch: str, cfg: ModelConfig):
+    """Parameter gradients only, from the gradient at the stacked E and c."""
+    t, pos_grad = cfg.lookback, grads[f"pos_{branch}"]
+    pos_grad[...] = d_op[t:].reshape(pos_grad.shape)
+    np.sum(pos_grad, axis=tuple(range(pos_grad.ndim - 1)),
+           out=grads[f"embed_{branch}.bias"])
+    np.matmul(_unit_patches(cfg, d_op.dtype).reshape(-1, cfg.patch_len).T,
+              d_op[:t].reshape(-1, cfg.embed_dim), out=grads[f"embed_{branch}.weight"])
+
+
+def mpp_seasonal(u: np.ndarray, params: ParamSet, schedule: list[int],
+                 op=None) -> list[np.ndarray]:
+    """One direct linear map per head, flattened embeddings -> length G_i
+    (a ``head_product``). Weights are shared across channels."""
+    return [head_product(u, params, f"season_head_{i}", op)
             for i in range(1, len(schedule) + 1)]
 
 
@@ -335,58 +403,45 @@ def mim_backward(d_mixed: list[np.ndarray], mixed: list[np.ndarray],
     return d_z
 
 
-def amwg(xd_s: np.ndarray, xd_t: np.ndarray, params: ParamSet, heads: int):
-    """Channel-adaptive head weights: pool each branch's embeddings to one
-    scalar per channel, run the two-layer gate, softmax over heads.
-    Returns the weights (B x H x C) and what the reverse needs."""
-    b, c = xd_s.shape[0], xd_s.shape[1]
-    gate_in = np.concatenate([xd_s.mean(axis=(2, 3)), xd_t.mean(axis=(2, 3))],
-                             axis=1)                        # (B, 2C)
+def amwg(gate_in: np.ndarray, params: ParamSet, heads: int):
+    """Channel-adaptive head weights from each branch's embeddings pooled
+    to their mean per channel, ``gate_in`` (B x 2C, seasonal then trend):
+    the two-layer gate, softmax over heads. Returns the weights (B x H x C)
+    and what the reverse needs."""
+    b, c = gate_in.shape[0], gate_in.shape[1] // 2
     logits, act = mlp(gate_in, params, "gate")
     logits = logits.reshape(b, heads, c)
     expd = np.exp(logits - logits.max(axis=1, keepdims=True))
     weights = expd / expd.sum(axis=1, keepdims=True)        # simplex over heads
-    return weights, (gate_in, act, weights, xd_s.shape[2] * xd_s.shape[3])
+    return weights, (gate_in, act, weights)
 
 
 def amwg_backward(d_weights: np.ndarray, saved, params: ParamSet,
-                  grads: ParamSet) -> tuple[np.ndarray, np.ndarray]:
+                  grads: ParamSet) -> np.ndarray:
     """Reverse of ``amwg``, from the gradient at its weights (B x H x C);
-    returns its gradient at each branch's embeddings as (B x C x 1 x 1),
-    constant over the pooled axes."""
-    gate_in, act, weights, pooled = saved
+    returns its gradient at ``gate_in``."""
+    gate_in, act, weights = saved
     b, heads, c = weights.shape
     # softmax over the head axis
     inner = (d_weights * weights).sum(axis=1, keepdims=True)
     d_logits = (weights * (d_weights - inner)).reshape(b, heads * c)
-    d_in = mlp_backward(d_logits, gate_in, act, params, grads, "gate") / pooled
-    return d_in[:, :c, None, None], d_in[:, c:, None, None]
+    return mlp_backward(d_logits, gate_in, act, params, grads, "gate")
 
 
 def _interp_matrix(source_len: int, target_len: int) -> np.ndarray:
-    """(G x F) endpoint-aligned linear-interpolation matrix, in float64.
-
-    Built so that G == F gives the exact identity and both endpoints are
-    copied through unchanged.
-    """
+    """(G x F) endpoint-aligned linear-interpolation matrix, in float64:
+    G == F gives the exact identity, and both endpoints copy through."""
     if source_len > target_len:
         raise ValueError(f"cannot upsample length {source_len} to shorter "
                          f"length {target_len}")
-    mat = np.zeros((source_len, target_len), dtype=np.float64)
-    if source_len == 1:
-        mat[0, :] = 1.0
-    else:
-        scale = (source_len - 1) / (target_len - 1)
-        for j in range(target_len):
-            s = j * scale
-            k = int(math.floor(s))
-            if k >= source_len - 1:
-                mat[source_len - 1, j] = 1.0
-            else:
-                frac = s - k
-                mat[k, j] = 1.0 - frac
-                mat[k + 1, j] = frac
-    return mat
+    cols = np.arange(target_len)
+    pos = cols * ((source_len - 1) / max(target_len - 1, 1))
+    k = np.minimum(np.floor(pos), source_len - 1).astype(np.intp)
+    frac = np.where(k < source_len - 1, pos - k, 0.0)
+    mat = np.zeros((source_len + 1, target_len))  # the spare last row takes zeros
+    mat[k, cols] = 1.0 - frac
+    mat[k + 1, cols] = frac
+    return mat[:source_len]
 
 
 def upsample(y: np.ndarray, target_len: int) -> np.ndarray:
@@ -450,8 +505,21 @@ def front_end(x: np.ndarray, params: ParamSet, cfg,
     return instance_normalize(channel_major(x, params.dtype))
 
 
+class ForwardContext(NamedTuple):
+    """What ``model_backward`` reads of a forward."""
+    inputs: list[np.ndarray]  # per branch: embeddings (B x C x N*D), folded: (B x C x T)
+    patches: list[np.ndarray | None]  # per branch, None when folded
+    ops: list[np.ndarray | None]  # per branch ``embed_operator`` when folded, else None
+    trend_acts: tuple[np.ndarray, ...]
+    y_s: list[np.ndarray]
+    y_t: list[np.ndarray]
+    y_sum: list[np.ndarray]
+    weights: np.ndarray
+    gate: tuple | None
+
+
 def forward_with_context(x: np.ndarray, params: ParamSet,
-                         cfg: ModelConfig) -> tuple[ForecastOutput, tuple]:
+                         cfg: ModelConfig) -> tuple[ForecastOutput, ForwardContext]:
     """``forward`` plus the intermediates ``model_backward`` reads."""
     x_norm, stats = front_end(x, params, cfg)
     dtype = params.dtype
@@ -460,15 +528,23 @@ def forward_with_context(x: np.ndarray, params: ParamSet,
     schedule = granularity_schedule(cfg.horizon, heads)
 
     parts = decompose(x_norm, cfg.kernel)
-    patches = [patch(part, cfg.patch_len, cfg.stride).patches
-               for part in (parts.seasonal, parts.trend)]
-    xd_s, xd_t = (embed(p, *_affine(params, f"embed_{br}"), params[f"pos_{br}"])
-                  for p, br in zip(patches, "st"))
-    u_s = xd_s.reshape(b, c, -1)
-    u_t = xd_t.reshape(b, c, -1)
+    series = (parts.seasonal, parts.trend)
+    if fold_pays(b * c, cfg.lookback, cfg.num_patches * cfg.embed_dim,
+                 c if cfg.pos_encoding == "per_channel" else 1):
+        ops, patches = [embed_operator(params, br, cfg) for br in "st"], [None, None]
+        inputs = [part.transpose(0, 2, 1) for part in series]  # (B, C, T) rows
+        pooled = (u @ m[:cfg.lookback] + m[cfg.lookback:]
+                  for u, m in zip(inputs, (op.mean(axis=1) for op in ops)))
+    else:
+        ops = [None, None]
+        patches = [patch(part, cfg.patch_len, cfg.stride).patches for part in series]
+        xd = [embed(p, *_affine(params, f"embed_{br}"), params[f"pos_{br}"])
+              for p, br in zip(patches, "st")]
+        inputs = [e.reshape(b, c, -1) for e in xd]
+        pooled = (e.mean(axis=(2, 3)) for e in xd)
 
-    z_s = mpp_seasonal(u_s, params, schedule)
-    z_t, trend_acts = zip(*(mlp(u_t, params, f"trend_head_{i}")
+    z_s = mpp_seasonal(inputs[0], params, schedule, ops[0])
+    z_t, trend_acts = zip(*(mlp(inputs[1], params, f"trend_head_{i}", op=ops[1])
                             for i in range(1, heads + 1)))
     y_s, y_t = (mim(z, [_affine(params, f"mixer_{br}_{i}") for i in range(2, heads + 1)])
                 if cfg.mim_enabled else list(z) for z, br in ((z_s, "s"), (z_t, "t")))
@@ -479,7 +555,7 @@ def forward_with_context(x: np.ndarray, params: ParamSet,
     weights = np.zeros((b, heads, c), dtype=dtype)
     gate_saved = None
     if cfg.amwg_enabled:
-        weights, gate_saved = amwg(xd_s, xd_t, params, heads)
+        weights, gate_saved = amwg(np.concatenate(list(pooled), axis=1), params, heads)
     fused = fuse(y_sum, weights, cfg.horizon)
 
     output = ForecastOutput(
@@ -487,34 +563,43 @@ def forward_with_context(x: np.ndarray, params: ParamSet,
         gate_weights=weights if cfg.amwg_enabled
         else np.full((b, heads, c), 1.0 / heads, dtype=dtype),
         heads=y_sum, stats=stats)
-    saved = (patches, u_s, u_t, trend_acts, y_s, y_t, y_sum, weights, gate_saved)
-    return output, saved
+    return output, ForwardContext(inputs, patches, ops, trend_acts, y_s, y_t, y_sum,
+                                  weights, gate_saved)
 
 
-def model_backward(d_fused: np.ndarray, d_heads: list[np.ndarray], saved: tuple,
-                   params: ParamSet, grads: ParamSet, cfg: ModelConfig):
+def model_backward(d_fused: np.ndarray, d_heads: list[np.ndarray],
+                   saved: ForwardContext, params: ParamSet, grads: ParamSet,
+                   cfg: ModelConfig):
     """Write every parameter tensor's gradient into ``grads`` from the loss
     gradients at the normalized forecast (B x C x F) and at each normalized
     head (B x C x G_i), the rows ``ForecastOutput.restore_backward`` gives."""
-    patches, u_s, u_t, trend_acts, y_s, y_t, y_sum, weights, gate_saved = saved
-    d_fused_heads, d_weights = fuse_backward(d_fused, y_sum, weights)
-    d_gate = (0.0, 0.0)
-    if gate_saved is not None:
-        d_gate = amwg_backward(d_weights, gate_saved, params, grads)
+    d_fused_heads, d_weights = fuse_backward(d_fused, saved.y_sum, saved.weights)
+    # (B, 2C, 1): each branch's pooled mean spreads over its N*D columns
+    d_gate = (amwg_backward(d_weights, saved.gate, params, grads)[..., None]
+              / (cfg.num_patches * cfg.embed_dim) if saved.gate is not None
+              else np.zeros((len(d_fused), 2 * cfg.channels, 1), d_fused.dtype))
 
     # each per-granularity forecast is the sum of both branches; the
     # alignment loss reaches it directly (its rows are this pass's own)
     for d_y, d in zip(d_heads, d_fused_heads):
         d_y += d
     d_z_s, d_z_t = (mim_backward(d_heads, y, params, grads, br) if cfg.mim_enabled
-                    else d_heads for y, br in ((y_s, "s"), (y_t, "t")))
+                    else d_heads for y, br in ((saved.y_s, "s"), (saved.y_t, "t")))
 
-    d_u_s, d_u_t = np.zeros_like(u_s), np.zeros_like(u_t)
-    for i, (d_s, d_t, act) in enumerate(zip(d_z_s, d_z_t, trend_acts), start=1):
-        d_u_s += linear_backward(d_s, u_s, params, grads, f"season_head_{i}")
-        d_u_t += mlp_backward(d_t, u_t, act, params, grads, f"trend_head_{i}")
-    for br, d_u, p, d_g in zip("st", (d_u_s, d_u_t), patches, d_gate):
-        embed_backward(d_u.reshape(*p.shape[:3], -1) + d_g, p, params, grads, br)
+    (u_s, u_t), (op_s, op_t), c = saved.inputs, saved.ops, cfg.channels
+    # the gradient at each branch's embeddings, or at its operator when folded
+    d_s_in, d_t_in = (np.zeros_like(u if op is None else op)
+                      for u, op in zip(saved.inputs, saved.ops))
+    for i, (d_s, d_t, act) in enumerate(zip(d_z_s, d_z_t, saved.trend_acts), start=1):
+        d_s_in += head_product_backward(d_s, u_s, params, grads, f"season_head_{i}",
+                                        op=op_s)
+        d_t_in += mlp_backward(d_t, u_t, act, params, grads, f"trend_head_{i}", op=op_t)
+    for br, d, u, p, op, d_g in zip("st", (d_s_in, d_t_in), saved.inputs, saved.patches,
+                                    saved.ops, (d_gate[:, :c], d_gate[:, c:])):
+        if op is None:
+            embed_backward((d + d_g).reshape(p.shape[:3] + (-1,)), p, params, grads, br)
+        else:
+            embed_operator_backward(d + _operator_grad(d_g, u, op), params, grads, br, cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@ checker.
 
 ``backward`` runs the forward pass of the config's family
 (``baselines.forecaster``), computes the loss gradients once, and hands
-them in the normalized scale, with the one gradient arena, to that family's
-reverse pass, where each stage's hand-derived gradient sits next to its forward.
+them in the normalized scale, with the gradient arena, to that family's
+reverse pass, where each stage's hand-derived gradient sits next to its
+forward. ``train`` allocates one arena per run and passes it to every step.
 """
 
 from __future__ import annotations
@@ -156,18 +157,20 @@ def _check_finite(breakdown: LossBreakdown):
 
 
 def backward(x: np.ndarray, y_true: np.ndarray, params: ParamSet,
-             cfg: ModelConfig | BaselineConfig) -> tuple[ParamSet, LossBreakdown]:
+             cfg: ModelConfig | BaselineConfig,
+             grads: ParamSet | None = None) -> tuple[ParamSet, LossBreakdown]:
     """Exact gradients of the total loss w.r.t. every parameter tensor:
     the forward pass, the loss with its gradients, the reverse of the
     instance-scale restore, then the family's reverse pass, which writes
-    each tensor's gradient once into the arena allocated here."""
+    each tensor's gradient once into the arena ``grads`` (a new one when
+    it is None) and returns it."""
     y_true = np.asarray(y_true, dtype=params.dtype)
     _, _, forward_with_context, reverse = forecaster(cfg)
     output, saved = forward_with_context(x, params, cfg)
     breakdown, d_final, d_granularity = _loss(
         output.final, output.per_granularity, y_true, cfg)
     _check_finite(breakdown)
-    grads = params.empty_like()
+    grads = params.empty_like() if grads is None else grads
     reverse(*output.restore_backward(d_final, d_granularity, params.dtype),
             saved, params, grads, cfg)
     return grads, breakdown
@@ -272,6 +275,7 @@ def train(cfg: ModelConfig | BaselineConfig, train_windows: WindowBatch,
     params = init(cfg, settings.seed)
     state = init_optimizer(params, settings)
     rng = np.random.default_rng(settings.seed)
+    grads = params.empty_like()  # every step writes all of it
 
     rows: list[EpochRow] = []
     best_params = params.copy()
@@ -286,7 +290,7 @@ def train(cfg: ModelConfig | BaselineConfig, train_windows: WindowBatch,
         for batch_index, (xb, yb) in enumerate(
                 train_windows.batches(settings.batch_size, order)):
             try:
-                grads, breakdown = backward(xb, yb, params, cfg)
+                _, breakdown = backward(xb, yb, params, cfg, grads)
             except FloatingPointError as exc:
                 raise TrainingDiverged(
                     f"{exc} at epoch {epoch}, batch {batch_index}",
@@ -296,7 +300,6 @@ def train(cfg: ModelConfig | BaselineConfig, train_windows: WindowBatch,
                     f"non-finite loss at epoch {epoch}, batch {batch_index}",
                     epoch=epoch, batch=batch_index)
             adamw_step(params, grads, state)
-            del grads  # so the next backward's arena is the only one alive
             loss_sum += breakdown.total * len(xb)
             seen += len(xb)
         val = evaluate(params, cfg, val_windows)

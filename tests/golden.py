@@ -73,6 +73,8 @@ def _mdmixer_cases() -> dict[str, ModelConfig]:
     cases["horizon720"] = ModelConfig(**{**base, "horizon": 720})
     cases["c3_stride10_heads4"] = ModelConfig(**{**base, "channels": 3},
                                               stride=10, heads=4)
+    # 256 rows: the heads' first products run through the folded embedding
+    cases["channels32"] = ModelConfig(**{**base, "channels": 32})
     return cases
 
 

@@ -203,6 +203,34 @@ def test_nan_fails_the_range_checks(build, message):
         build()
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: SynthChannel(8, math.nan, 0, 0.1),
+     "synthetic channel amplitude must be finite, got nan"),
+    (lambda: SynthChannel(8, 1.0, math.inf, 0.1),
+     "synthetic channel slope must be finite, got inf"),
+    (lambda: SynthChannel(math.inf, 1.0, 0.0, 0.1),
+     "synthetic channel period must be finite, got inf"),
+    (lambda: TrainSettings(lr=math.inf), "lr must be finite, got inf"),
+    (lambda: TrainSettings(weight_decay=math.inf), "weight_decay must be finite, got inf"),
+    (lambda: TrainSettings(beta1=1.5), "beta1 must be in [0, 1), got 1.5"),
+    (lambda: TrainSettings(beta1=math.nan), "beta1 must be in [0, 1), got nan"),
+    (lambda: TrainSettings(beta2=1.0), "beta2 must be in [0, 1), got 1.0"),
+    (lambda: TrainSettings(beta2=-0.1), "beta2 must be in [0, 1), got -0.1"),
+    (lambda: TrainSettings(eps=math.nan), "eps must be positive and finite, got nan"),
+    (lambda: TrainSettings(eps=0.0), "eps must be positive and finite, got 0.0"),
+    (lambda: ModelConfig(8, 4, 2, patch_len=4, heads=2, align_weight=math.inf),
+     "align_weight must be finite, got inf"),
+], ids=["amplitude_nan", "slope_inf", "period_inf", "lr_inf", "weight_decay_inf",
+        "beta1_over_1", "beta1_nan", "beta2_1", "beta2_negative", "eps_nan", "eps_zero",
+        "align_weight_inf"])
+def test_invalid_floats_fail_at_construction(build, message):
+    """A float field the run multiplies by or divides with is finite, the
+    AdamW decay rates lie in [0, 1) and eps is positive; each message names
+    the field."""
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        build()
+
+
 def test_duplicate_seeds_rejected():
     with pytest.raises(ConfigError) as exc:
         parse_config_text(BASE + "seeds = 1,2,1\n")

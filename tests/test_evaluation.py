@@ -204,9 +204,8 @@ def test_inference_restores_only_the_final_forecast(tiny_cfg, monkeypatch):
 def test_per_granularity_restores_like_an_eager_forward(tiny_cfg):
     x = rand_batch(np.random.default_rng(11), 3, 8, 2)
     out, saved = model.forward_with_context(x, init_params(tiny_cfg, 2), tiny_cfg)
-    y_s, y_t = saved[4], saved[5]  # each head's seasonal and trend branch
     eager = [instance_denormalize((a + b).transpose(0, 2, 1), out.stats)
-             for a, b in zip(y_s, y_t, strict=True)]
+             for a, b in zip(saved.y_s, saved.y_t, strict=True)]
     assert len(out.per_granularity) == len(eager)
     for got, want in zip(out.per_granularity, eager):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

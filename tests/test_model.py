@@ -8,10 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from mdmixer.config import ConfigError, ModelConfig, TrainSettings
 from mdmixer.model import CheckpointError, ParamSet, amwg, band_blocks, \
-    embed, forward, fuse, fuse_backward, granularity_schedule, init_params, \
-    load_checkpoint, mim, mlp, mpp_seasonal, param_layout, save_checkpoint, \
-    upsample, upsample_backward, _interp_matrix, _parse_manifest
-from mdmixer.preprocess import band_matmul
+    embed, embed_operator, fold_pays, forward, fuse, fuse_backward, \
+    granularity_schedule, init_params, load_checkpoint, mim, mlp, mpp_seasonal, \
+    param_layout, save_checkpoint, upsample, upsample_backward, _interp_matrix, \
+    _parse_manifest
+from mdmixer.preprocess import band_matmul, patch
 from mdmixer.training import _pool_matrix, adamw_step, init_optimizer
 
 from conftest import HORIZONS, TINY, assert_banded_matches_dense, \
@@ -167,6 +168,37 @@ def test_embed_shape():
     assert out.shape == (2, 2, 4, 3)
 
 
+@pytest.mark.parametrize("kw", [
+    pytest.param({}, id="shared"),
+    pytest.param(dict(pos_encoding="per_channel"), id="per_channel"),
+    pytest.param(dict(stride=10), id="stride10"),  # the last patch reads padding
+    pytest.param(dict(patch_len=96, stride=200), id="whole_window")])
+def test_embed_operator_is_the_patch_embedding(kw):
+    """``x @ E + c`` from ``embed_operator`` equals the patched embedding
+    of every series, flattened per channel, including the zero padding
+    the last patch reads."""
+    cfg = ModelConfig(**{"lookback": 96, "horizon": 96, "channels": 3, **kw})
+    params = init_params(cfg, 0, dtype=np.float64)
+    params["embed_s.bias"][:] = np.random.default_rng(1).normal(size=cfg.embed_dim)
+    x = rand_batch(np.random.default_rng(2), 5, 96, 3, dtype=np.float64)
+    op = embed_operator(params, "s", cfg)
+    rows = 1 if cfg.pos_encoding == "shared" else 3
+    assert op.shape == (96 + rows, cfg.num_patches * cfg.embed_dim)
+    want = embed(patch(x, cfg.patch_len, cfg.stride).patches, params["embed_s.weight"],
+                 params["embed_s.bias"], params["pos_s"]).reshape(5, 3, -1)
+    got = x.transpose(0, 2, 1) @ op[:96] + op[96:]
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+
+def test_fold_pays_from_multiply_adds():
+    """The fold pays once the rows' saving, ``rows x (N*D - T)``, exceeds
+    the cost of folding the operator's T + C' rows into each weight."""
+    assert not fold_pays(129, 96, 384, 1) and fold_pays(130, 96, 384, 1)
+    assert not fold_pays(10**6, 96, 96, 1)  # no saving when N*D <= T
+    # per-channel encodings fold C more rows: C=321 pays at B=4, not B=1
+    assert fold_pays(4 * 321, 96, 384, 321) and not fold_pays(321, 96, 384, 321)
+
+
 def trend_heads(u, params, schedule):
     """The trend branch's heads: one MLP per granularity."""
     return [mlp(u, params, f"trend_head_{i}")[0]
@@ -251,12 +283,18 @@ def test_mim_matches_stacked_matmul(dtype, tol):
         assert np.linalg.norm(g - w) <= tol * np.linalg.norm(w)
 
 
+def gate_input(xd_s, xd_t):
+    """``amwg``'s input: each branch's (B, C, N, D) embeddings pooled to
+    their mean per channel, seasonal then trend (B, 2C)."""
+    return np.concatenate([xd_s.mean(axis=(2, 3)), xd_t.mean(axis=(2, 3))], axis=1)
+
+
 def test_amwg_uniform_for_constant_logits(tiny_cfg):
     params = init_params(tiny_cfg, 0)
     params["gate.fc2.weight"][:] = 0.0
     rng = np.random.default_rng(6)
     xd = rng.normal(size=(3, 2, tiny_cfg.num_patches, tiny_cfg.embed_dim))
-    weights, _ = amwg(xd, xd, params, heads=2)
+    weights, _ = amwg(gate_input(xd, xd), params, heads=2)
     np.testing.assert_allclose(weights, 0.5)
 
 
@@ -267,7 +305,7 @@ def test_amwg_softmax_hand_values(tiny_cfg):
     # bias layout is (H*C,) reshaped row-major to (H, C)
     params["gate.fc2.bias"][:] = [np.log(2.0), np.log(2.0), 0.0, 0.0]
     xd = np.zeros((1, 2, 4, 3), dtype=np.float32)
-    weights, _ = amwg(xd, xd, params, heads=2)
+    weights, _ = amwg(gate_input(xd, xd), params, heads=2)
     np.testing.assert_allclose(weights[0, :, 0], [2 / 3, 1 / 3], atol=1e-6)
     np.testing.assert_allclose(weights[0, :, 1], [2 / 3, 1 / 3], atol=1e-6)
 
@@ -277,7 +315,7 @@ def test_amwg_simplex(tiny_cfg):
     params = init_params(tiny_cfg, 1)
     xd_s = rng.normal(size=(5, 2, 4, 3))
     xd_t = rng.normal(size=(5, 2, 4, 3))
-    weights, _ = amwg(xd_s, xd_t, params, heads=2)
+    weights, _ = amwg(gate_input(xd_s, xd_t), params, heads=2)
     assert weights.shape == (5, 2, 2)
     assert weights.min() >= 0
     np.testing.assert_allclose(weights.sum(axis=1), 1.0, atol=1e-6)
@@ -306,6 +344,32 @@ def test_upsample_endpoints():
         out = upsample(y, f)
         np.testing.assert_allclose(out[..., 0], y[..., 0], atol=1e-12)
         np.testing.assert_allclose(out[..., -1], y[..., -1], atol=1e-12)
+
+
+def _interp_by_columns(source_len: int, target_len: int) -> np.ndarray:
+    """Reference: the interpolation matrix built one output column at a time."""
+    mat = np.zeros((source_len, target_len), dtype=np.float64)
+    if source_len == 1:
+        mat[0, :] = 1.0
+        return mat
+    scale = (source_len - 1) / (target_len - 1)
+    for j in range(target_len):
+        s = j * scale
+        k = int(np.floor(s))
+        if k >= source_len - 1:
+            mat[source_len - 1, j] = 1.0
+        else:
+            frac = s - k
+            mat[k, j], mat[k + 1, j] = 1.0 - frac, frac
+    return mat
+
+
+@pytest.mark.parametrize("f", [*range(1, 25), *HORIZONS])
+def test_interp_matrix_matches_the_column_loop(f):
+    """Bit for bit, at every source length up to 24 and at the head
+    lengths of the trained horizons."""
+    for g in range(1, f + 1) if f <= 24 else head_lengths(f):
+        assert _interp_matrix(g, f).tobytes() == _interp_by_columns(g, f).tobytes(), g
 
 
 OPERATORS = ([(_interp_matrix, g_f) for g_f in ((12, 96), (1, 4), (7, 7), (90, 720))]
@@ -549,7 +613,7 @@ def test_amwg_weights_are_a_simplex(heads, b, c, magnitude, seed):
     rng = np.random.default_rng(seed)
     xd_s, xd_t = (10.0 ** magnitude * rng.normal(
         size=(b, c, cfg.num_patches, cfg.embed_dim)) for _ in "st")
-    weights, _ = amwg(xd_s, xd_t, params, heads)
+    weights, _ = amwg(gate_input(xd_s, xd_t), params, heads)
     assert weights.shape == (b, heads, c) and weights.dtype == np.float64
     assert np.all(np.isfinite(weights)) and weights.min() >= 0
     assert np.abs(weights.sum(axis=1) - 1.0).max() <= 1e-12

@@ -9,11 +9,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from mdmixer import model
 from mdmixer.baselines import forecaster, init_baseline_params
 from mdmixer.config import BaselineConfig, ModelConfig, SynthChannel, \
     TrainSettings
 from mdmixer.data import chronological_split, make_windows, standardize, \
     synth_multiscale, SplitSpec
+from mdmixer.evaluation import eval_batch_size
 from mdmixer.model import ParamSet, forward, init_params, param_layout
 from mdmixer.training import ADAMW_BLOCK, TrainingDiverged, \
     adamw_step, alignment_targets, backward, gradcheck, init_optimizer, main_loss, \
@@ -532,21 +534,24 @@ TENSOR_GROUPS = {"embed": "embed_", "pos": "pos_", "season heads": "season_head_
                  "trend heads": "trend_head_", "mixers": "mixer_", "gate": "gate."}
 
 
-@pytest.mark.parametrize("kw", TRAINED_SHAPES)
-def test_directional_gradient_at_trained_shapes(kw):
+@pytest.mark.parametrize("kw, batch", [
+    *(pytest.param(*shape.values, 4, id=shape.id) for shape in TRAINED_SHAPES),
+    *(pytest.param(*shape.values, 32, id=f"{shape.id}-B32") for shape in TRAINED_SHAPES)])
+def test_directional_gradient_at_trained_shapes(kw, batch):
     """<grad L, v> of a C=7, T=96 model (F=96 unless stated) on B=4 windows,
-    in float64, against central differences along one seeded unit direction
-    v at steps h and h/10; it passes when either quotient agrees within
-    1e-4. The per-entry gradchecks run toy shapes, too short to split the
-    banded upsampling and pooling operators into several blocks; F=720
-    does. The float32 gradients of the same parameters and batch must also
-    be within 1e-5 (norm-relative) of the float64 ones in every tensor
-    group."""
+    and on B=32, where the embedding is folded into the heads as in
+    training, in float64, against central differences along one seeded
+    unit direction v at steps h and h/10; it passes when either quotient
+    agrees within 1e-4. The per-entry gradchecks run toy shapes, too short
+    to split the banded upsampling and pooling operators into several
+    blocks; F=720 does. The float32 gradients of the same parameters and
+    batch must also be within 1e-5 (norm-relative) of the float64 ones in
+    every tensor group."""
     cfg = ModelConfig(**{"lookback": 96, "horizon": 96, "channels": 7, **kw})
     rng = np.random.default_rng(720)
     params = init_params(cfg, 0, dtype=np.float32).astype(np.float64)
-    x = rng.normal(size=(4, cfg.lookback, cfg.channels)).astype(np.float32)
-    y = rng.normal(size=(4, cfg.horizon, cfg.channels)).astype(np.float32)
+    x = rng.normal(size=(batch, cfg.lookback, cfg.channels)).astype(np.float32)
+    y = rng.normal(size=(batch, cfg.horizon, cfg.channels)).astype(np.float32)
     grads32, _ = backward(x, y, params.astype(np.float32), cfg)
     x, y = x.astype(np.float64), y.astype(np.float64)
     grads, _ = backward(x, y, params, cfg)
@@ -571,6 +576,85 @@ def test_directional_gradient_at_trained_shapes(kw):
         errors.append(abs(numeric - analytic)
                       / max(abs(numeric), abs(analytic), 1e-8))
     assert min(errors) < 1e-4, (analytic, errors)
+
+
+def _both_associations(cfg, batch, dtype, monkeypatch) -> list[dict]:
+    """Per association (embeddings, then folded), label -> array of the
+    forecast, each per-granularity series, the gate weights and every
+    gradient, on one seeded batch."""
+    rng = np.random.default_rng(321)
+    params = init_params(cfg, 0).astype(dtype)
+    x = rand_batch(rng, batch, cfg.lookback, cfg.channels, dtype)
+    y = rand_batch(rng, batch, cfg.horizon, cfg.channels, dtype)
+    runs = []
+    for folded in (False, True):
+        monkeypatch.setattr(model, "fold_pays", lambda *shape, folded=folded: folded)
+        out, saved = model.forward_with_context(x, params, cfg)
+        assert (saved.ops[0] is not None) == folded
+        grads, _ = backward(x, y, params, cfg)
+        runs.append({"final": out.final, "gate_weights": out.gate_weights,
+                     **{f"per_granularity[{i}]": a
+                        for i, a in enumerate(out.per_granularity)},
+                     **{f"grad {name}": g for name, g in grads.items()}})
+    return runs
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kw, batch", [
+    *(pytest.param(*shape.values, 32, id=shape.id) for shape in TRAINED_SHAPES),
+    pytest.param(dict(channels=321), 4, id="C321")])
+def test_fold_matches_the_embeddings(kw, batch, dtype, monkeypatch):
+    """Folding the patch embedding into the heads' first products changes
+    only the rounding: the forecast, every per-granularity series, the gate
+    weights and every gradient match the path through the embeddings
+    within the golden harness's norm-relative bounds (1e-6 in float32,
+    1e-12 in float64), at C=7, T=F=96 (unless stated), B=32 and at C=321,
+    B=4."""
+    from golden import TOLERANCE, stats_errors, value_stats
+    cfg = ModelConfig(**{"lookback": 96, "horizon": 96, "channels": 7, **kw})
+    plain, folded = _both_associations(cfg, batch, dtype, monkeypatch)
+    assert list(plain) == list(folded)
+    errors = stats_errors(value_stats(folded), value_stats(plain))
+    bad = {label: err for label, err in zip(plain, errors) if not err <= TOLERANCE[dtype]}
+    assert not bad, bad
+
+
+@pytest.mark.parametrize("kw, batch, folded", [
+    pytest.param(TINY, 3, False, id="embeddings"),
+    pytest.param(TINY, 16, True, id="folded"),
+    pytest.param(dict(TINY, pos_encoding="per_channel"), 16, True,
+                 id="folded-per_channel")])
+def test_gradcheck_on_both_sides_of_the_fold(kw, batch, folded):
+    """Per-entry finite differences (1e-4) on a toy model whose batch has
+    too few rows for the fold, and on batches with enough."""
+    cfg = ModelConfig(**kw)
+    offset = cfg.channels if cfg.pos_encoding == "per_channel" else 1
+    assert model.fold_pays(batch * cfg.channels, cfg.lookback,
+                           cfg.num_patches * cfg.embed_dim, offset) == folded
+    report = gradcheck(cfg, seed=0, batch=batch)
+    assert report.passed, (report.max_rel_err, report.worst_param)
+
+
+@pytest.mark.parametrize("channels, horizon, batch, folded", [
+    pytest.param(7, 96, 32, True, id="ett_c7-train"),
+    pytest.param(7, 96, eval_batch_size(7, 96), True, id="ett_c7-eval"),
+    pytest.param(7, 96, 1, False, id="ett_c7-forecast"),
+    pytest.param(7, 720, 8, False, id="long_f720-train"),
+    pytest.param(7, 720, eval_batch_size(7, 720), True, id="long_f720-eval"),
+    pytest.param(7, 720, 1, False, id="long_f720-forecast"),
+    pytest.param(321, 96, 4, True, id="wide_c321-train"),
+    pytest.param(321, 96, eval_batch_size(321, 96), True, id="wide_c321-eval"),
+    pytest.param(321, 96, 1, True, id="wide_c321-forecast")])
+def test_each_workload_shape_takes_its_association(channels, horizon, batch, folded):
+    """Which association the forward picks for each benchmark workload's
+    train step, evaluation batch and single-window forecast (default
+    model, T=96): a 56-row F=720 step and every C=7 forecast keep the
+    embeddings; every batch of 224 rows or more folds."""
+    cfg = ModelConfig(lookback=96, horizon=horizon, channels=channels)
+    x = rand_batch(np.random.default_rng(0), batch, 96, channels)
+    _, saved = model.forward_with_context(x, init_params(cfg, 0), cfg)
+    assert [op is not None for op in saved.ops] == [folded, folded]
+    assert [p is None for p in saved.patches] == [folded, folded]
 
 
 @pytest.mark.parametrize("kw", TRAINED_SHAPES + [
@@ -657,6 +741,47 @@ def test_train_deterministic(tiny_cfg):
            [r.train_loss for r in report_b.epochs]
     assert [r.val_mse for r in report_a.epochs] == \
            [r.val_mse for r in report_b.epochs]
+
+
+def test_backward_writes_into_a_given_arena(tiny_cfg):
+    """``backward`` fills the arena it is given and returns it; the
+    gradients are the bytes of a fresh arena's."""
+    rng = np.random.default_rng(12)
+    x, y = rand_batch(rng, 3, 8, 2), rand_batch(rng, 3, 4, 2)
+    params = init_params(tiny_cfg, 0)
+    fresh, _ = backward(x, y, params, tiny_cfg)
+    arena = params.empty_like()
+    arena.flat.fill(np.nan)
+    grads, _ = backward(x, y, params, tiny_cfg, arena)
+    assert grads is arena and grads.flat.tobytes() == fresh.flat.tobytes()
+
+
+def test_train_allocates_one_gradient_arena(tiny_cfg, monkeypatch):
+    """``train`` allocates one gradient arena for the run and passes it to
+    every step; the trained parameters are the bytes of a run that takes a
+    fresh arena per step."""
+    import mdmixer.training as training
+    windows = _synth_windows()
+    settings = TrainSettings(batch_size=16, max_epochs=2, patience=5, seed=3)
+    arenas = []
+    allocate = ParamSet.empty_like
+
+    def counted(self):
+        arenas.append(allocate(self))
+        return arenas[-1]
+    monkeypatch.setattr(ParamSet, "empty_like", counted)
+    params, report = train(tiny_cfg, windows, windows, settings)
+    assert len(arenas) == 1 and len(report.epochs) == 2
+    given = training.backward
+
+    def fresh_arena(x, y, params, cfg, grads):
+        fresh, breakdown = given(x, y, params, cfg)
+        np.copyto(grads.flat, fresh.flat)
+        return grads, breakdown
+    monkeypatch.setattr(training, "backward", fresh_arena)
+    again, _ = train(tiny_cfg, windows, windows, settings)
+    assert len(arenas) > 2
+    assert again.flat.tobytes() == params.flat.tobytes()
 
 
 def test_train_one_step_decreases_batch_loss(tiny_cfg):
