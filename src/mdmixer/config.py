@@ -183,6 +183,13 @@ class RunConfig:
         if self.model_kind not in ("mdmixer",) + BASELINE_KINDS:
             raise ConfigError(f"model.kind must be 'mdmixer' or one of "
                               f"{BASELINE_KINDS}, got {self.model_kind!r}")
+        # the data are read from one source; a second one would be ignored
+        for key in ("synth_length", "synth_channels"):
+            if self.data_path is not None and getattr(self, key) not in (None, ()):
+                raise ConfigError(f"data.path and data.{key} both name the data; "
+                                  f"set one of them")
+        if self.synth_channels and self.synth_length is None:
+            raise ConfigError("data.synth_channels requires data.synth_length")
         if self.data_path is None and self.synth_length is None and self.channels is None:
             raise ConfigError("config needs data.path, data.synth_length or data.channels")
         if self.synth_length is not None and not self.synth_channels:

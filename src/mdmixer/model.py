@@ -282,10 +282,10 @@ def head_product(x: np.ndarray, params: ParamSet, name: str, op=None) -> np.ndar
     return linear(x, weight, bias)
 
 
-def _operator_grad(dy: np.ndarray, x: np.ndarray, op: np.ndarray) -> np.ndarray:
-    """The gradient at ``op @ W`` from ``dy`` at ``x @ E @ W + c @ W``:
-    ``x^T dy`` over ``dy`` summed per row of c."""
-    rows = dy.reshape(-1, op.shape[0] - x.shape[-1], dy.shape[-1])
+def _operator_grad(dy: np.ndarray, x: np.ndarray, offset_rows: int) -> np.ndarray:
+    """The gradient at A stacked over a from ``dy`` at ``x @ A + a`` (a's
+    ``offset_rows`` rows repeat down x's): x^T dy over dy summed per row of a."""
+    rows = dy.reshape(-1, offset_rows, dy.shape[-1])
     return np.concatenate([x.reshape(-1, x.shape[-1]).T @ rows.reshape(-1, dy.shape[-1]),
                            rows.sum(axis=0)])
 
@@ -296,7 +296,7 @@ def head_product_backward(dy: np.ndarray, x: np.ndarray, params: ParamSet,
     ``op`` at the operator, so no embedding gradient is formed."""
     if op is None:
         return linear_backward(dy, x, params, grads, name, input_grad)
-    d_folded = _operator_grad(dy, x, op)
+    d_folded = _operator_grad(dy, x, op.shape[0] - x.shape[-1])
     np.matmul(op.T, d_folded, out=grads[f"{name}.weight"])
     np.sum(d_folded[x.shape[-1]:], axis=0, out=grads[f"{name}.bias"])
     return d_folded @ params[f"{name}.weight"].T
@@ -324,16 +324,6 @@ def embed(patches: np.ndarray, weight: np.ndarray, bias: np.ndarray,
     """Project each length-P patch to the embedding space and add the
     positional encoding (broadcast over channels in shared mode)."""
     return linear(patches, weight, bias) + pos
-
-
-def embed_backward(d_xd: np.ndarray, patches: np.ndarray, params: ParamSet,
-                   grads: ParamSet, branch: str):
-    """Parameter gradients only: the patches are constants."""
-    pos_grad = grads[f"pos_{branch}"]
-    # sum over the leading axes the positional encoding was broadcast along
-    np.sum(d_xd, axis=tuple(range(d_xd.ndim - pos_grad.ndim)), out=pos_grad)
-    linear_backward(d_xd, patches, params, grads, f"embed_{branch}",
-                    input_grad=False)
 
 
 def fold_pays(rows: int, lookback: int, width: int, offset_rows: int) -> bool:
@@ -507,8 +497,8 @@ def front_end(x: np.ndarray, params: ParamSet, cfg,
 
 class ForwardContext(NamedTuple):
     """What ``model_backward`` reads of a forward."""
-    inputs: list[np.ndarray]  # per branch: embeddings (B x C x N*D), folded: (B x C x T)
-    patches: list[np.ndarray | None]  # per branch, None when folded
+    series: list[np.ndarray]  # per branch (B x C x T) rows, the embedding's input
+    inputs: list[np.ndarray]  # per branch: embeddings (B x C x N*D), folded: the series
     ops: list[np.ndarray | None]  # per branch ``embed_operator`` when folded, else None
     trend_acts: tuple[np.ndarray, ...]
     y_s: list[np.ndarray]
@@ -527,19 +517,19 @@ def forward_with_context(x: np.ndarray, params: ParamSet,
     heads = cfg.num_heads
     schedule = granularity_schedule(cfg.horizon, heads)
 
-    parts = decompose(x_norm, cfg.kernel)
-    series = (parts.seasonal, parts.trend)
+    decomposed = decompose(x_norm, cfg.kernel)
+    parts = (decomposed.seasonal, decomposed.trend)
+    series = [part.transpose(0, 2, 1) for part in parts]  # (B, C, T) rows
     if fold_pays(b * c, cfg.lookback, cfg.num_patches * cfg.embed_dim,
                  c if cfg.pos_encoding == "per_channel" else 1):
-        ops, patches = [embed_operator(params, br, cfg) for br in "st"], [None, None]
-        inputs = [part.transpose(0, 2, 1) for part in series]  # (B, C, T) rows
+        ops, inputs = [embed_operator(params, br, cfg) for br in "st"], series
         pooled = (u @ m[:cfg.lookback] + m[cfg.lookback:]
-                  for u, m in zip(inputs, (op.mean(axis=1) for op in ops)))
+                  for u, m in zip(series, (op.mean(axis=1) for op in ops)))
     else:
         ops = [None, None]
-        patches = [patch(part, cfg.patch_len, cfg.stride).patches for part in series]
-        xd = [embed(p, *_affine(params, f"embed_{br}"), params[f"pos_{br}"])
-              for p, br in zip(patches, "st")]
+        xd = [embed(patch(part, cfg.patch_len, cfg.stride).patches,
+                    *_affine(params, f"embed_{br}"), params[f"pos_{br}"])
+              for part, br in zip(parts, "st")]
         inputs = [e.reshape(b, c, -1) for e in xd]
         pooled = (e.mean(axis=(2, 3)) for e in xd)
 
@@ -563,7 +553,7 @@ def forward_with_context(x: np.ndarray, params: ParamSet,
         gate_weights=weights if cfg.amwg_enabled
         else np.full((b, heads, c), 1.0 / heads, dtype=dtype),
         heads=y_sum, stats=stats)
-    return output, ForwardContext(inputs, patches, ops, trend_acts, y_s, y_t, y_sum,
+    return output, ForwardContext(series, inputs, ops, trend_acts, y_s, y_t, y_sum,
                                   weights, gate_saved)
 
 
@@ -587,6 +577,7 @@ def model_backward(d_fused: np.ndarray, d_heads: list[np.ndarray],
                     else d_heads for y, br in ((saved.y_s, "s"), (saved.y_t, "t")))
 
     (u_s, u_t), (op_s, op_t), c = saved.inputs, saved.ops, cfg.channels
+    offset_rows = c if cfg.pos_encoding == "per_channel" else 1
     # the gradient at each branch's embeddings, or at its operator when folded
     d_s_in, d_t_in = (np.zeros_like(u if op is None else op)
                       for u, op in zip(saved.inputs, saved.ops))
@@ -594,12 +585,12 @@ def model_backward(d_fused: np.ndarray, d_heads: list[np.ndarray],
         d_s_in += head_product_backward(d_s, u_s, params, grads, f"season_head_{i}",
                                         op=op_s)
         d_t_in += mlp_backward(d_t, u_t, act, params, grads, f"trend_head_{i}", op=op_t)
-    for br, d, u, p, op, d_g in zip("st", (d_s_in, d_t_in), saved.inputs, saved.patches,
-                                    saved.ops, (d_gate[:, :c], d_gate[:, c:])):
-        if op is None:
-            embed_backward((d + d_g).reshape(p.shape[:3] + (-1,)), p, params, grads, br)
-        else:
-            embed_operator_backward(d + _operator_grad(d_g, u, op), params, grads, br, cfg)
+    # both associations end at the gradient at the stacked operator
+    for br, d, x, op, d_g in zip("st", (d_s_in, d_t_in), saved.series, saved.ops,
+                                 (d_gate[:, :c], d_gate[:, c:])):
+        embed_operator_backward(_operator_grad(d + d_g, x, offset_rows) if op is None
+                                else d + _operator_grad(d_g, x, offset_rows),
+                                params, grads, br, cfg)
 
 
 # ---------------------------------------------------------------------------

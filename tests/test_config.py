@@ -106,6 +106,12 @@ BASE = "data.channels = 2\n"
      "synthetic channel noise must be >= 0, got -1.0"),
     ("data.synth_length = 400\n",
      "data.synth_channels required with data.synth_length"),
+    ("data.synth_channels = 8:1:0:0.1\n",
+     "data.synth_channels requires data.synth_length"),
+    ("data.path = a.csv\ndata.synth_length = 400\ndata.synth_channels = 8:1:0:0.1\n",
+     "data.path and data.synth_length both name the data; set one of them"),
+    ("data.path = a.csv\ndata.synth_channels = 8:1:0:0.1\n",
+     "data.path and data.synth_channels both name the data; set one of them"),
     ("data.ratio_train = 0.5\n",
      "split ratios must be nonnegative and sum to 1, got (0.5, 0.2, 0.2) (sum 0.9)"),
     ("model.kind = transformer\n",
@@ -127,6 +133,7 @@ BASE = "data.channels = 2\n"
         "bad_bool", "bad_seeds", "no_seeds", "negative_seed",
         "negative_synth_seed", "synth_arity", "synth_non_numeric",
         "synth_empty", "synth_period", "synth_noise", "synth_length_alone",
+        "synth_channels_alone", "path_and_synth_length", "path_and_synth_channels",
         "ratio_sum", "model_kind", "head_divisibility", "even_kernel",
         "baseline_even_kernel", "pos_encoding", "negative_lr", "negative_weight_decay",
         "negative_align_weight", "zero_batch_size", "patch_len_over_lookback"])
@@ -258,8 +265,14 @@ def test_synth_channels_render_exactly():
     (lambda text: text.replace("data.synth_seed = 3", "data.synth_seed = -1"),
      "data.synth_seed"),
     (lambda text: text + "train.weight_decay = -0.5\n", "weight_decay must be >= 0"),
+    (lambda text: text + "data.path = data.csv\n", "data.path and data.synth_length"),
+    (lambda text: text.replace("data.synth_length = 400", "data.path = data.csv"),
+     "data.path and data.synth_channels"),
+    (lambda text: text.replace("data.synth_length = 400", ""),
+     "data.synth_channels requires data.synth_length"),
 ], ids=["nan_ratio", "inf_align_weight", "nan_period", "duplicate_seeds",
-        "negative_seed", "negative_synth_seed", "negative_weight_decay"])
+        "negative_seed", "negative_synth_seed", "negative_weight_decay",
+        "path_and_synth_length", "path_and_synth_channels", "synth_channels_alone"])
 def test_cli_rejects_bad_values_with_exit_2(tmp_path, capsys, edit, needle):
     cfg_path, out = write_config(tmp_path)
     cfg_path.write_text(edit(cfg_path.read_text()))

@@ -32,6 +32,13 @@ import tracemalloc
 from pathlib import Path
 
 import numpy as np
+import pytest
+
+from mdmixer.baselines import forecaster
+from mdmixer.config import BaselineConfig, ModelConfig, TrainSettings
+from mdmixer.data import make_windows
+from mdmixer.evaluation import predict
+from mdmixer.training import adamw_step, backward, init_optimizer
 
 FIXTURE = Path(__file__).with_name("counters.json")
 # name -> (family, channels, horizon, training batch), as bench/run.py's workloads
@@ -75,12 +82,6 @@ def _peak_bytes(fn) -> int:
 
 def measure(name: str) -> dict[str, int]:
     """The counters of one shape, after a warm-up step and forecast."""
-    from mdmixer.baselines import forecaster
-    from mdmixer.config import BaselineConfig, ModelConfig, TrainSettings
-    from mdmixer.data import make_windows
-    from mdmixer.evaluation import predict
-    from mdmixer.training import adamw_step, backward, init_optimizer
-
     family, channels, horizon, batch = SHAPES[name]
     shape = dict(lookback=LOOKBACK, horizon=horizon, channels=channels)
     cfg = (ModelConfig(**shape) if family == "mdmixer"
@@ -125,8 +126,6 @@ def measured_fresh() -> dict:
 
 
 def test_counters_match_the_budgets():
-    import pytest
-
     recorded = json.loads(FIXTURE.read_text(encoding="utf-8"))
     if recorded["versions"] != versions():
         pytest.skip(f"counters recorded under {recorded['versions']}, "

@@ -4,14 +4,14 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mdmixer.config import ConfigError, ModelConfig, TrainSettings
 from mdmixer.model import CheckpointError, ParamSet, amwg, band_blocks, \
-    embed, embed_operator, fold_pays, forward, fuse, fuse_backward, \
-    granularity_schedule, init_params, load_checkpoint, mim, mlp, mpp_seasonal, \
-    param_layout, save_checkpoint, upsample, upsample_backward, _interp_matrix, \
-    _parse_manifest
+    embed, embed_operator, embed_operator_backward, fold_pays, forward, fuse, \
+    fuse_backward, granularity_schedule, init_params, load_checkpoint, mim, mlp, \
+    mpp_seasonal, param_layout, save_checkpoint, upsample, upsample_backward, \
+    _interp_matrix, _operator_grad, _parse_manifest
 from mdmixer.preprocess import band_matmul, patch
 from mdmixer.training import _pool_matrix, adamw_step, init_optimizer
 
@@ -197,6 +197,78 @@ def test_fold_pays_from_multiply_adds():
     assert not fold_pays(10**6, 96, 96, 1)  # no saving when N*D <= T
     # per-channel encodings fold C more rows: C=321 pays at B=4, not B=1
     assert fold_pays(4 * 321, 96, 384, 321) and not fold_pays(321, 96, 384, 321)
+
+
+@st.composite
+def embed_configs(draw) -> ModelConfig:
+    """Patch geometries at any stride, above patch_len too, with patches up
+    to the whole window, and either positional encoding."""
+    t = draw(st.integers(1, 40))
+    return ModelConfig(lookback=t, horizon=1, heads=1, channels=draw(st.integers(1, 4)),
+                       patch_len=draw(st.one_of(st.just(t), st.integers(1, t))),
+                       stride=draw(st.integers(1, t + 8)),
+                       embed_dim=draw(st.integers(1, 5)),
+                       pos_encoding=draw(st.sampled_from(["shared", "per_channel"])))
+
+
+EMBED_EXAMPLES = [  # one of each geometry the strategy must cover
+    ModelConfig(lookback=24, horizon=1, heads=1, channels=3, patch_len=4, stride=7),
+    ModelConfig(lookback=24, horizon=1, heads=1, channels=3, patch_len=24, stride=5),
+    ModelConfig(lookback=24, horizon=1, heads=1, channels=3, patch_len=8, stride=4,
+                embed_dim=5, pos_encoding="per_channel")]
+
+
+def _embed_tensors(cfg: ModelConfig, seed: int) -> ParamSet:
+    """A float64 set holding a branch's embedding weight and bias and its
+    positional encodings, seeded normal."""
+    layout = {n: shape for n, shape in param_layout(cfg).items()
+              if n.startswith(("embed_s.", "pos_s"))}
+    rng = np.random.default_rng(seed)
+    return ParamSet({n: rng.normal(size=shape) for n, shape in layout.items()})
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(cfg=embed_configs(), seed=st.integers(0, 2**32 - 1))
+@example(cfg=EMBED_EXAMPLES[0], seed=0)
+@example(cfg=EMBED_EXAMPLES[1], seed=1)
+@example(cfg=EMBED_EXAMPLES[2], seed=2)
+def test_embed_operator_backward_is_the_adjoint(cfg, seed):
+    """``embed_operator`` is linear in the embedding weight, its bias and
+    the positional encodings together; ``embed_operator_backward`` is its
+    adjoint, the one reverse of the patch embedding on both associations."""
+    theta = _embed_tensors(cfg, seed)
+    layout = theta.layout()
+
+    def forward_op(flat):
+        return embed_operator(ParamSet._over(flat, layout), "s", cfg)
+
+    def reverse_op(d_op):
+        grads = ParamSet._over(np.full_like(theta.flat, np.nan), layout)
+        embed_operator_backward(d_op, theta, grads, "s", cfg)
+        return grads.flat
+
+    d_op = np.random.default_rng(seed + 1).normal(size=forward_op(theta.flat).shape)
+    _assert_adjoint(forward_op, reverse_op, theta.flat, d_op)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(cfg=embed_configs(), b=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+@example(cfg=EMBED_EXAMPLES[0], b=2, seed=0)
+@example(cfg=EMBED_EXAMPLES[1], b=2, seed=1)
+@example(cfg=EMBED_EXAMPLES[2], b=2, seed=2)
+def test_operator_grad_is_the_adjoint(cfg, b, seed):
+    """``_operator_grad`` is the adjoint of ``x @ A + a`` in A stacked over
+    a, with a's one shared row or C per-channel rows repeating down the
+    (B x C x T) series x."""
+    t, c, width = cfg.lookback, cfg.channels, cfg.num_patches * cfg.embed_dim
+    offset_rows = c if cfg.pos_encoding == "per_channel" else 1
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(b, c, t))
+    op = rng.normal(size=(t + offset_rows, width))
+    dy = rng.normal(size=(b, c, width))
+    _assert_adjoint(lambda m: x @ m[:t] + m[t:],
+                    lambda d: _operator_grad(d, x, offset_rows), op, dy,
+                    abs_op=lambda m: np.abs(x) @ m[:t] + m[t:])
 
 
 def trend_heads(u, params, schedule):
@@ -437,12 +509,14 @@ def _rows(rng, b: int, c: int, length: int, strided: bool) -> np.ndarray:
     return rng.normal(size=(b, c, length))
 
 
-def _assert_adjoint(forward_op, reverse_op, x: np.ndarray, y: np.ndarray):
+def _assert_adjoint(forward_op, reverse_op, x: np.ndarray, y: np.ndarray,
+                    abs_op=None):
     """<A x, y> = <x, A^T y> within 1e-12 of <|A| |x|, |y|>, the size of
-    the terms summed (the operators' entries are nonnegative)."""
+    the terms summed; ``abs_op`` applies |A|, which is A itself when the
+    operator's entries are nonnegative (the default)."""
     lhs = float((forward_op(x) * y).sum())
     rhs = float((x * reverse_op(y)).sum())
-    scale = float((forward_op(np.abs(x)) * np.abs(y)).sum())
+    scale = float(((abs_op or forward_op)(np.abs(x)) * np.abs(y)).sum())
     assert abs(lhs - rhs) <= 1e-12 * scale, (lhs, rhs)
 
 

@@ -654,7 +654,6 @@ def test_each_workload_shape_takes_its_association(channels, horizon, batch, fol
     x = rand_batch(np.random.default_rng(0), batch, 96, channels)
     _, saved = model.forward_with_context(x, init_params(cfg, 0), cfg)
     assert [op is not None for op in saved.ops] == [folded, folded]
-    assert [p is None for p in saved.patches] == [folded, folded]
 
 
 @pytest.mark.parametrize("kw", TRAINED_SHAPES + [
