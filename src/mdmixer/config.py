@@ -34,7 +34,10 @@ class ModelConfig:
     patch embedding, heads the number of parallel prediction heads,
     hidden the width of the trend MLP and of the gating network, kernel
     the moving-average size of the trend/seasonal split, align_weight
-    the coefficient of the per-head alignment loss.
+    the coefficient of the per-head alignment loss. The paper's ablations
+    are values: one head drops parallel prediction (and with it mixing
+    and the gate), align_weight = 0 the alignment loss, and use_mim /
+    use_amwg the mixers and the gate.
     """
 
     lookback: int
@@ -47,10 +50,8 @@ class ModelConfig:
     hidden: int = 64
     kernel: int = 25
     align_weight: float = 0.01
-    use_mpp: bool = True
     use_mim: bool = True
     use_amwg: bool = True
-    use_align_loss: bool = True
     pos_encoding: str = "shared"  # "shared" (N x D) or "per_channel" (C x N x D)
 
     def __post_init__(self):
@@ -62,26 +63,22 @@ class ModelConfig:
             raise ConfigError(
                 f"patch_len ({self.patch_len}) must not exceed lookback ({self.lookback})")
         _check_min(self, 0, "align_weight", finite=True)
-        if self.horizon % self.num_heads != 0:
+        if self.horizon % self.heads != 0:
             raise ConfigError(
-                f"heads ({self.num_heads}) must divide horizon ({self.horizon}) "
+                f"heads ({self.heads}) must divide horizon ({self.horizon}) "
                 f"so every head has an integer output length")
         if self.pos_encoding not in ("shared", "per_channel"):
             raise ConfigError(
                 f"pos_encoding must be 'shared' or 'per_channel', got {self.pos_encoding!r}")
 
     @property
-    def num_heads(self) -> int:
-        """Effective head count; a single head when parallel prediction is off."""
-        return self.heads if self.use_mpp else 1
-
-    @property
-    def mim_enabled(self) -> bool:
-        return self.use_mim and self.use_mpp
+    def num_heads(self) -> int:  # read by the benchmark's stage replay
+        return self.heads
 
     @property
     def amwg_enabled(self) -> bool:
-        return self.use_amwg and self.use_mpp
+        """The gate runs only over several heads: a softmax over one is 1."""
+        return self.use_amwg and self.heads > 1
 
     @property
     def num_patches(self) -> int:

@@ -156,10 +156,10 @@ def granularity_schedule(horizon: int, heads: int) -> list[int]:
 @lru_cache(maxsize=64)
 def param_layout(cfg: ModelConfig) -> MappingProxyType[str, tuple[int, ...]]:
     """Canonical name -> shape map of the tensors ``cfg`` uses (cached,
-    read-only): the mixers only with MIM on, the gate only with AMWG on."""
+    read-only): the mixers only with MIM on, the gate only with AMWG on;
+    one head has neither."""
     n, d, p = cfg.num_patches, cfg.embed_dim, cfg.patch_len
-    c, hid = cfg.channels, cfg.hidden
-    heads = cfg.num_heads
+    c, hid, heads = cfg.channels, cfg.hidden, cfg.heads
     nd = n * d
     schedule = granularity_schedule(cfg.horizon, heads)
     pos_shape = (n, d) if cfg.pos_encoding == "shared" else (c, n, d)
@@ -176,7 +176,7 @@ def param_layout(cfg: ModelConfig) -> MappingProxyType[str, tuple[int, ...]]:
         layout[f"trend_head_{i}.fc1.bias"] = (hid,)
         layout[f"trend_head_{i}.fc2.weight"] = (hid, g)
         layout[f"trend_head_{i}.fc2.bias"] = (g,)
-    for branch in ("s", "t") if cfg.mim_enabled else ():
+    for branch in ("s", "t") if cfg.use_mim else ():
         for i in range(2, heads + 1):
             layout[f"mixer_{branch}_{i}.weight"] = (schedule[i - 2], schedule[i - 1])
             layout[f"mixer_{branch}_{i}.bias"] = (schedule[i - 1],)
@@ -193,8 +193,8 @@ def init_params(cfg: ModelConfig, seed: int, dtype=np.float32) -> ParamSet:
     full model's tensors are drawn and the unused ones dropped, so a tensor
     starts from the same values under every ablation."""
     layout = param_layout(cfg)
-    params = init_layout(param_layout(replace(
-        cfg, use_mpp=True, use_mim=True, use_amwg=True, heads=cfg.num_heads)), seed, dtype)
+    params = init_layout(param_layout(replace(cfg, use_mim=True, use_amwg=True)),
+                         seed, dtype)
     return params if params.layout() == layout else ParamSet({n: params[n] for n in layout})
 
 
@@ -513,8 +513,7 @@ def forward_with_context(x: np.ndarray, params: ParamSet,
     """``forward`` plus the intermediates ``model_backward`` reads."""
     x_norm, stats = front_end(x, params, cfg)
     dtype = params.dtype
-    b, c = x.shape[0], cfg.channels
-    heads = cfg.num_heads
+    b, c, heads = x.shape[0], cfg.channels, cfg.heads
     schedule = granularity_schedule(cfg.horizon, heads)
 
     decomposed = decompose(x_norm, cfg.kernel)
@@ -537,7 +536,7 @@ def forward_with_context(x: np.ndarray, params: ParamSet,
     z_t, trend_acts = zip(*(mlp(inputs[1], params, f"trend_head_{i}", op=ops[1])
                             for i in range(1, heads + 1)))
     y_s, y_t = (mim(z, [_affine(params, f"mixer_{br}_{i}") for i in range(2, heads + 1)])
-                if cfg.mim_enabled else list(z) for z, br in ((z_s, "s"), (z_t, "t")))
+                if cfg.use_mim else list(z) for z, br in ((z_s, "s"), (z_t, "t")))
 
     y_sum = [a + bb for a, bb in zip(y_s, y_t)]
     # without the gate the fusion runs with zero weights: the residual
@@ -550,7 +549,7 @@ def forward_with_context(x: np.ndarray, params: ParamSet,
 
     output = ForecastOutput(
         final=instance_denormalize(fused.transpose(0, 2, 1), stats),
-        gate_weights=weights if cfg.amwg_enabled
+        gate_weights=weights if gate_saved is not None
         else np.full((b, heads, c), 1.0 / heads, dtype=dtype),
         heads=y_sum, stats=stats)
     return output, ForwardContext(series, inputs, ops, trend_acts, y_s, y_t, y_sum,
@@ -573,7 +572,7 @@ def model_backward(d_fused: np.ndarray, d_heads: list[np.ndarray],
     # alignment loss reaches it directly (its rows are this pass's own)
     for d_y, d in zip(d_heads, d_fused_heads):
         d_y += d
-    d_z_s, d_z_t = (mim_backward(d_heads, y, params, grads, br) if cfg.mim_enabled
+    d_z_s, d_z_t = (mim_backward(d_heads, y, params, grads, br) if cfg.use_mim
                     else d_heads for y, br in ((saved.y_s, "s"), (saved.y_t, "t")))
 
     (u_s, u_t), (op_s, op_t), c = saved.inputs, saved.ops, cfg.channels

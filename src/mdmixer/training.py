@@ -116,9 +116,9 @@ def alignment_targets(y_true: np.ndarray, schedule: list[int]) -> list[np.ndarra
 def _loss(final: np.ndarray, per_granularity: list[np.ndarray],
           y_true: np.ndarray, cfg: ModelConfig | BaselineConfig):
     """Loss breakdown and its gradients at ``final`` and each per-granularity
-    forecast: main L1 plus the alignment weight (0 with ``use_align_loss``
-    off) times the mean per-head L1 against pooled targets; baselines have
-    no heads. The L1 subgradient at an exactly-zero residual is 0. One
+    forecast: main L1 plus ``align_weight`` (0 drops the alignment loss)
+    times the mean per-head L1 against pooled targets; baselines have no
+    heads. The L1 subgradient at an exactly-zero residual is 0. One
     channel-major copy of ``y_true`` matches the forecasts' memory order, so
     the pooling reads it without a copy and every gradient is channel-major."""
     if final.shape != y_true.shape:
@@ -129,7 +129,7 @@ def _loss(final: np.ndarray, per_granularity: list[np.ndarray],
     align_res = [pred - tgt for pred, tgt in zip(per_granularity, targets)]
     main = float(np.abs(res).mean(dtype=np.float64))
     align = [float(np.abs(r).mean(dtype=np.float64)) for r in align_res]
-    weight = cfg.align_weight if align and cfg.use_align_loss else 0.0
+    weight = cfg.align_weight if align else 0.0
     total = main + weight * (sum(align) / len(align)) if align else main
     d_final = np.sign(res) / res.size
     d_granularity = [np.sign(r) * (weight / (len(align) * r.size))

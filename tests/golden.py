@@ -65,10 +65,14 @@ TOLERANCE = {np.float32: 1e-6, np.float64: 1e-12}
 def _mdmixer_cases() -> dict[str, ModelConfig]:
     base = dict(lookback=96, horizon=96, channels=7)
     cases = {}
+    # the paper's ablations as values: no alignment is align_weight = 0, no
+    # parallel prediction one head; at one head mim and amwg change nothing,
+    # so 6 of the 8 mpp0 cases repeat the other two
     for mim, amwg, align, mpp in itertools.product((True, False), repeat=4):
         name = f"mim{mim:d}_amwg{amwg:d}_align{align:d}_mpp{mpp:d}"
         cases[name] = ModelConfig(**base, use_mim=mim, use_amwg=amwg,
-                                  use_align_loss=align, use_mpp=mpp)
+                                  align_weight=0.01 if align else 0.0,
+                                  heads=8 if mpp else 1)
     cases["per_channel_pos"] = ModelConfig(**base, pos_encoding="per_channel")
     cases["horizon720"] = ModelConfig(**{**base, "horizon": 720})
     cases["c3_stride10_heads4"] = ModelConfig(**{**base, "channels": 3},

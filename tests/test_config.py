@@ -162,8 +162,8 @@ def test_accepted_keys_in_render_order():
         "data.synth_channels", "data.synth_seed", "model.kind",
         "model.lookback", "model.horizon", "model.patch_len", "model.stride",
         "model.embed_dim", "model.heads", "model.hidden", "model.kernel",
-        "model.align_weight", "model.use_mpp", "model.use_mim",
-        "model.use_amwg", "model.use_align_loss", "model.pos_encoding",
+        "model.align_weight", "model.use_mim", "model.use_amwg",
+        "model.pos_encoding",
         "train.lr", "train.batch_size", "train.max_epochs", "train.patience",
         "train.weight_decay", "seeds", "out_dir"]
     cfg = dataclasses.replace(parse_config_text(CASES["cli_synth"][0]),
@@ -270,9 +270,14 @@ def test_synth_channels_render_exactly():
      "data.path and data.synth_channels"),
     (lambda text: text.replace("data.synth_length = 400", ""),
      "data.synth_channels requires data.synth_length"),
+    # the ablations are values now: heads = 1 and align_weight = 0
+    (lambda text: text + "model.use_mpp = false\n", "unknown key 'model.use_mpp'"),
+    (lambda text: text + "model.use_align_loss = false\n",
+     "unknown key 'model.use_align_loss'"),
 ], ids=["nan_ratio", "inf_align_weight", "nan_period", "duplicate_seeds",
         "negative_seed", "negative_synth_seed", "negative_weight_decay",
-        "path_and_synth_length", "path_and_synth_channels", "synth_channels_alone"])
+        "path_and_synth_length", "path_and_synth_channels", "synth_channels_alone",
+        "removed_use_mpp", "removed_use_align_loss"])
 def test_cli_rejects_bad_values_with_exit_2(tmp_path, capsys, edit, needle):
     cfg_path, out = write_config(tmp_path)
     cfg_path.write_text(edit(cfg_path.read_text()))

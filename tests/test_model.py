@@ -279,7 +279,7 @@ def trend_heads(u, params, schedule):
 
 def test_mpp_shapes_and_zero(tiny_cfg):
     params = zeroed_offsets(init_params(tiny_cfg, 0))
-    schedule = granularity_schedule(tiny_cfg.horizon, tiny_cfg.num_heads)
+    schedule = granularity_schedule(tiny_cfg.horizon, tiny_cfg.heads)
     u = np.zeros((3, 2, tiny_cfg.num_patches * tiny_cfg.embed_dim), dtype=np.float32)
     for z, g in zip(mpp_seasonal(u, params, schedule), schedule):
         assert z.shape == (3, 2, g)
@@ -292,7 +292,7 @@ def test_mpp_shapes_and_zero(tiny_cfg):
 def test_mpp_channel_equivariance(tiny_cfg):
     rng = np.random.default_rng(3)
     params = init_params(tiny_cfg, 0)
-    schedule = granularity_schedule(tiny_cfg.horizon, tiny_cfg.num_heads)
+    schedule = granularity_schedule(tiny_cfg.horizon, tiny_cfg.heads)
     u = rng.normal(size=(4, 2, tiny_cfg.num_patches * tiny_cfg.embed_dim))
     perm = [1, 0]
     for op in (mpp_seasonal, trend_heads):
@@ -676,12 +676,13 @@ def test_fuse_backward_is_the_adjoint_in_heads_and_weights(f, heads, b, c, seed)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None, database=None)
-@given(heads=st.sampled_from([1, 2, 4, 8]), b=st.integers(1, 4), c=st.integers(1, 5),
+@given(heads=st.sampled_from([2, 4, 8]), b=st.integers(1, 4), c=st.integers(1, 5),
        magnitude=st.integers(-3, 8), seed=st.integers(0, 2**32 - 1))
 def test_amwg_weights_are_a_simplex(heads, b, c, magnitude, seed):
     """Finite, nonnegative and summing to 1 over the heads, also for
     embeddings up to 1e8 in size, where the logits reach far past exp's
-    float64 range unless the max is subtracted first."""
+    float64 range unless the max is subtracted first. (One head has no
+    gate: its weight is the constant 1.)"""
     cfg = ModelConfig(**{**TINY, "horizon": 8, "channels": c, "heads": heads})
     params = init_params(cfg, seed % 1000, dtype=np.float64)
     rng = np.random.default_rng(seed)
@@ -814,13 +815,18 @@ def test_forward_shape_errors(tiny_cfg):
 
 
 def test_forward_without_mpp():
-    cfg = ModelConfig(**{**TINY, "use_mpp": False})
+    """One head is the paper's "w/o MPP": with use_mim and use_amwg at
+    their defaults it has no mixer and no gate, reports gate weights of 1,
+    and its forecast is its one head."""
+    cfg = ModelConfig(**{**TINY, "heads": 1})
+    assert cfg.use_mim and cfg.use_amwg and not cfg.amwg_enabled
     params = init_params(cfg, 0)
-    assert "mixer_s_2.weight" not in params.names()
+    assert not [n for n in params.names() if n.startswith(("mixer_", "gate."))]
     rng = np.random.default_rng(20)
     out = forward(rand_batch(rng, 2, 8, 2), params, cfg)
     assert len(out.per_granularity) == 1
     assert out.per_granularity[0].shape == (2, 4, 2)
+    assert out.gate_weights.shape == (2, 1, 2) and (out.gate_weights == 1).all()
     np.testing.assert_allclose(out.final, out.per_granularity[0], atol=1e-6)
 
 

@@ -455,20 +455,22 @@ def test_entry_points_reach_the_forward_through_its_module(kind, monkeypatch):
         assert calls == [expected] * count
 
 
-@pytest.mark.parametrize("switch, dropped", [
-    pytest.param("use_mim", ("mixer_",), id="mim_off"),
-    pytest.param("use_amwg", ("gate.",), id="amwg_off"),
-    pytest.param("use_mpp", ("mixer_", "gate."), id="mpp_off")])
-def test_layout_drops_unused_parameters(switch, dropped):
+@pytest.mark.parametrize("ablation, dropped", [
+    pytest.param({"use_mim": False}, ("mixer_",), id="mim_off"),
+    pytest.param({"use_amwg": False}, ("gate.",), id="amwg_off"),
+    pytest.param({"heads": 1}, ("mixer_", "gate."), id="mpp_off")])
+def test_layout_drops_unused_parameters(ablation, dropped):
     """An ablation's layout, and so its parameters and gradients, holds no
-    tensor of the component it switches off, and every other one."""
+    tensor of the component it switches off, and every other one. One
+    head, with use_mim and use_amwg at their defaults, has no mixer and
+    no gate."""
     full = param_layout(ModelConfig(**TINY))
     assert any(n.startswith("mixer_") for n in full)
     assert any(n.startswith("gate.") for n in full)
-    cfg = ModelConfig(**{**TINY, switch: False})
+    cfg = ModelConfig(**{**TINY, **ablation})
     layout = param_layout(cfg)
     assert not [n for n in layout if n.startswith(dropped)]
-    if switch != "use_mpp":  # one head: the head tensors change shape
+    if "heads" not in ablation:  # one head: the head tensors change shape
         assert dict(layout) == {n: s for n, s in full.items()
                                 if not n.startswith(dropped)}
     rng = np.random.default_rng(8)
@@ -514,18 +516,28 @@ def test_gradcheck_alpha_variants(tiny_cfg):
     # kernel wider than the window (replicate padding dominates)
     dict(lookback=8, horizon=4, channels=2, patch_len=4, stride=2,
          embed_dim=3, heads=2, hidden=4, kernel=25),
-    # parallel prediction off: one head, no mixers, gate off
-    dict(TINY, use_mpp=False),
+    # parallel prediction off: one head, so no mixers and no gate
+    dict(TINY, heads=1),
 ])
 def test_gradcheck_exotic_geometries(kw):
     assert gradcheck(ModelConfig(**kw), seed=0).passed
 
 
-ABLATIONS = ("use_mim", "use_amwg", "use_align_loss", "use_mpp")
+
+def _ablation(mim: bool, amwg: bool, align_loss: bool, mpp: bool):
+    """The paper's ablations as config values, with an id naming the
+    components on and off: no alignment loss is align_weight = 0, no
+    parallel prediction one head. One head has no mixer and no gate, so
+    there use_mim and use_amwg change only which code path runs."""
+    flags = dict(mim=mim, amwg=amwg, align_loss=align_loss, mpp=mpp)
+    return pytest.param(
+        dict(use_mim=mim, use_amwg=amwg, align_weight=0.01 if align_loss else 0.0,
+             heads=8 if mpp else 1),
+        id="-".join(f"{name}{'' if on else '_off'}" for name, on in flags.items()))
+
+
 TRAINED_SHAPES = [
-    *(pytest.param(dict(zip(ABLATIONS, flags)), id="-".join(
-        f"{name[4:]}{'' if on else '_off'}" for name, on in zip(ABLATIONS, flags)))
-      for flags in itertools.product((True, False), repeat=len(ABLATIONS))),
+    *(_ablation(*flags) for flags in itertools.product((True, False), repeat=4)),
     pytest.param(dict(pos_encoding="per_channel"), id="per_channel"),
     pytest.param(dict(stride=10), id="stride10"),  # does not divide T - patch_len
     pytest.param(dict(horizon=720), id="F720"),
@@ -699,8 +711,7 @@ def test_init_draws_the_full_models_stream(kw):
     hands to ``train`` is the same. C=7, T=96, F=96 unless stated."""
     cfg = ModelConfig(**{"lookback": 96, "horizon": 96, "channels": 7, **kw})
     params = init_params(cfg, 3)
-    full = init_params(replace(cfg, use_mim=True, use_amwg=True, use_mpp=True,
-                               heads=cfg.num_heads), 3)
+    full = init_params(replace(cfg, use_mim=True, use_amwg=True), 3)
     assert set(params.names()) <= set(full.names())
     for name, arr in params.items():
         assert arr.tobytes() == full[name].tobytes(), name
