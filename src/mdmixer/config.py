@@ -325,6 +325,10 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
     cfg.ratios = tuple(parts["ratios"])
     cfg.train = TrainSettings(**parts["train"])
     cfg.validate()
+    # a seed set to its default 0 differs from none only in the keys read
+    if {"data.path", "data.synth_seed"} <= seen:
+        raise ConfigError("data.path and data.synth_seed both name the data; "
+                          "set one of them")
     return cfg
 
 

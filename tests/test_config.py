@@ -112,6 +112,8 @@ BASE = "data.channels = 2\n"
      "data.path and data.synth_length both name the data; set one of them"),
     ("data.path = a.csv\ndata.synth_channels = 8:1:0:0.1\n",
      "data.path and data.synth_channels both name the data; set one of them"),
+    ("data.path = a.csv\ndata.synth_seed = 0\n",
+     "data.path and data.synth_seed both name the data; set one of them"),
     ("data.ratio_train = 0.5\n",
      "split ratios must be nonnegative and sum to 1, got (0.5, 0.2, 0.2) (sum 0.9)"),
     ("model.kind = transformer\n",
@@ -134,7 +136,7 @@ BASE = "data.channels = 2\n"
         "negative_synth_seed", "synth_arity", "synth_non_numeric",
         "synth_empty", "synth_period", "synth_noise", "synth_length_alone",
         "synth_channels_alone", "path_and_synth_length", "path_and_synth_channels",
-        "ratio_sum", "model_kind", "head_divisibility", "even_kernel",
+        "path_and_synth_seed", "ratio_sum", "model_kind", "head_divisibility", "even_kernel",
         "baseline_even_kernel", "pos_encoding", "negative_lr", "negative_weight_decay",
         "negative_align_weight", "zero_batch_size", "patch_len_over_lookback"])
 def test_bad_input_message(text, message):
@@ -270,6 +272,8 @@ def test_synth_channels_render_exactly():
      "data.path and data.synth_channels"),
     (lambda text: text.replace("data.synth_length = 400", ""),
      "data.synth_channels requires data.synth_length"),
+    (lambda text: re.sub(r"data\.synth_(length|channels) = .*\n", "", text)
+     + "data.path = data.csv\n", "data.path and data.synth_seed"),
     # the ablations are values now: heads = 1 and align_weight = 0
     (lambda text: text + "model.use_mpp = false\n", "unknown key 'model.use_mpp'"),
     (lambda text: text + "model.use_align_loss = false\n",
@@ -277,7 +281,7 @@ def test_synth_channels_render_exactly():
 ], ids=["nan_ratio", "inf_align_weight", "nan_period", "duplicate_seeds",
         "negative_seed", "negative_synth_seed", "negative_weight_decay",
         "path_and_synth_length", "path_and_synth_channels", "synth_channels_alone",
-        "removed_use_mpp", "removed_use_align_loss"])
+        "path_and_synth_seed", "removed_use_mpp", "removed_use_align_loss"])
 def test_cli_rejects_bad_values_with_exit_2(tmp_path, capsys, edit, needle):
     cfg_path, out = write_config(tmp_path)
     cfg_path.write_text(edit(cfg_path.read_text()))
