@@ -34,10 +34,8 @@ class ModelConfig:
     patch embedding, heads the number of parallel prediction heads,
     hidden the width of the trend MLP and of the gating network, kernel
     the moving-average size of the trend/seasonal split, align_weight
-    the coefficient of the per-head alignment loss. The paper's ablations
-    are values: one head drops parallel prediction (and with it mixing
-    and the gate), align_weight = 0 the alignment loss, and use_mim /
-    use_amwg the mixers and the gate.
+    the coefficient of the per-head alignment loss. heads = 1 and
+    align_weight = 0 are the paper's no-MPP and no-alignment ablations.
     """
 
     lookback: int
@@ -77,8 +75,7 @@ class ModelConfig:
 
     @property
     def amwg_enabled(self) -> bool:
-        """The gate runs only over several heads: a softmax over one is 1."""
-        return self.use_amwg and self.heads > 1
+        return self.use_amwg and self.heads > 1  # a softmax over one head is 1
 
     @property
     def num_patches(self) -> int:

@@ -156,8 +156,7 @@ def granularity_schedule(horizon: int, heads: int) -> list[int]:
 @lru_cache(maxsize=64)
 def param_layout(cfg: ModelConfig) -> MappingProxyType[str, tuple[int, ...]]:
     """Canonical name -> shape map of the tensors ``cfg`` uses (cached,
-    read-only): the mixers only with MIM on, the gate only with AMWG on;
-    one head has neither."""
+    read-only): the mixers only with MIM on, the gate only if amwg_enabled."""
     n, d, p = cfg.num_patches, cfg.embed_dim, cfg.patch_len
     c, hid, heads = cfg.channels, cfg.hidden, cfg.heads
     nd = n * d
@@ -193,8 +192,7 @@ def init_params(cfg: ModelConfig, seed: int, dtype=np.float32) -> ParamSet:
     full model's tensors are drawn and the unused ones dropped, so a tensor
     starts from the same values under every ablation."""
     layout = param_layout(cfg)
-    params = init_layout(param_layout(replace(cfg, use_mim=True, use_amwg=True)),
-                         seed, dtype)
+    params = init_layout(param_layout(replace(cfg, use_mim=True, use_amwg=True)), seed, dtype)
     return params if params.layout() == layout else ParamSet({n: params[n] for n in layout})
 
 
@@ -333,30 +331,34 @@ def fold_pays(rows: int, lookback: int, width: int, offset_rows: int) -> bool:
     return rows * (width - lookback) > (lookback + offset_rows) * width
 
 
-def _unit_patches(cfg: ModelConfig, dtype) -> np.ndarray:
-    """(T x N x P) patches of the unit series: 1 where patch n reads step t."""
-    eye = np.eye(cfg.lookback, dtype=dtype)[None]
-    return patch(eye, cfg.patch_len, cfg.stride).patches[0]
-
-
 def embed_operator(params: ParamSet, branch: str, cfg: ModelConfig) -> np.ndarray:
     """``embed`` of a branch's patches as an affine map of its series,
-    flattened per channel, ``x @ E + c``: E (T x N*D) stacked over c (one
-    row with shared positional encodings, C rows with per-channel ones)."""
+    flattened per channel, ``x @ E + c``: E (T x N*D), patch n's columns
+    holding ``embed_*.weight`` at the rows it reads, clipped at T, stacked
+    over c (one row with shared positional encodings, C rows per channel)."""
     weight, bias = _affine(params, f"embed_{branch}")
-    e = (_unit_patches(cfg, weight.dtype) @ weight).reshape(cfg.lookback, -1)
-    return np.concatenate([e, (params[f"pos_{branch}"] + bias).reshape(-1, e.shape[1])])
+    t, n = cfg.lookback, cfg.num_patches
+    c = (params[f"pos_{branch}"] + bias).reshape(-1, n * cfg.embed_dim)
+    op = np.zeros((t + len(c), c.shape[1]), weight.dtype)
+    op[t:] = c
+    e = op[:t].reshape(t, n, -1)  # a view
+    for i, start in zip(range(n), range(0, t, cfg.stride)):  # patches starting in x
+        e[start:start + cfg.patch_len, i] = weight[:t - start]
+    return op
 
 
 def embed_operator_backward(d_op: np.ndarray, params: ParamSet, grads: ParamSet,
                             branch: str, cfg: ModelConfig):
-    """Parameter gradients only, from the gradient at the stacked E and c."""
-    t, pos_grad = cfg.lookback, grads[f"pos_{branch}"]
+    """Parameter gradients only, from the gradient at the stacked E and c;
+    the weight's sums each patch's rows of the gradient at E."""
+    t, n, pos_grad = cfg.lookback, cfg.num_patches, grads[f"pos_{branch}"]
     pos_grad[...] = d_op[t:].reshape(pos_grad.shape)
     np.sum(pos_grad, axis=tuple(range(pos_grad.ndim - 1)),
            out=grads[f"embed_{branch}.bias"])
-    np.matmul(_unit_patches(cfg, d_op.dtype).reshape(-1, cfg.patch_len).T,
-              d_op[:t].reshape(-1, cfg.embed_dim), out=grads[f"embed_{branch}.weight"])
+    d_e, d_weight = d_op[:t].reshape(t, n, -1), grads[f"embed_{branch}.weight"]
+    d_weight[...] = 0
+    for i, start in zip(range(n), range(0, t, cfg.stride)):
+        d_weight[:t - start] += d_e[start:start + cfg.patch_len, i]
 
 
 def mpp_seasonal(u: np.ndarray, params: ParamSet, schedule: list[int],
