@@ -136,8 +136,8 @@ BASE = "data.channels = 2\n"
         "negative_synth_seed", "synth_arity", "synth_non_numeric",
         "synth_empty", "synth_period", "synth_noise", "synth_length_alone",
         "synth_channels_alone", "path_and_synth_length", "path_and_synth_channels",
-        "path_and_synth_seed", "ratio_sum", "model_kind", "head_divisibility", "even_kernel",
-        "baseline_even_kernel", "pos_encoding", "negative_lr", "negative_weight_decay",
+        "path_and_synth_seed", "ratio_sum", "model_kind", "head_divisibility",
+        "even_kernel", "baseline_even_kernel", "pos_encoding", "negative_lr", "negative_weight_decay",
         "negative_align_weight", "zero_batch_size", "patch_len_over_lookback"])
 def test_bad_input_message(text, message):
     with pytest.raises(ConfigError) as exc:
@@ -274,7 +274,7 @@ def test_synth_channels_render_exactly():
      "data.synth_channels requires data.synth_length"),
     (lambda text: re.sub(r"data\.synth_(length|channels) = .*\n", "", text)
      + "data.path = data.csv\n", "data.path and data.synth_seed"),
-    # the ablations are values now: heads = 1 and align_weight = 0
+    # no such switches: those ablations are heads = 1 and align_weight = 0
     (lambda text: text + "model.use_mpp = false\n", "unknown key 'model.use_mpp'"),
     (lambda text: text + "model.use_align_loss = false\n",
      "unknown key 'model.use_align_loss'"),

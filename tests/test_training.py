@@ -523,7 +523,6 @@ def test_gradcheck_exotic_geometries(kw):
     assert gradcheck(ModelConfig(**kw), seed=0).passed
 
 
-
 def _ablation(mim: bool, amwg: bool, align_loss: bool, mpp: bool):
     """The paper's ablations as config values, with an id naming the
     components on and off: no alignment loss is align_weight = 0, no
