@@ -12,7 +12,8 @@ import numpy as np
 from .baselines import forecaster
 from .config import BaselineConfig, ModelConfig
 from .data import WindowBatch
-from .model import ForecastOutput, ParamSet, forward, upsample, write_atomically
+from .model import ForecastOutput, ParamSet, forward, operator_scope, upsample, \
+    write_atomically
 
 # Inference batches hold at most EVAL_BATCH windows, at most EVAL_CELLS
 # windows x channels, and at most EVAL_CELLS x 96 forecast values (windows x
@@ -78,21 +79,23 @@ def evaluate(params: ParamSet, cfg, windows: WindowBatch, dataset: str = "",
     in the dataset-standardized space (the space the windows live in),
     accumulated elementwise over every window, in order. ``batch_size``
     defaults to ``eval_batch_size`` of the windows' channel count and the
-    config's horizon."""
+    config's horizon. The batches that fold share one set of folded
+    operators (``model.operator_scope``), built at the first of them."""
     if batch_size is None:
         batch_size = eval_batch_size(windows.inputs.shape[2], cfg.horizon)
     sq_sum = 0.0
     abs_sum = 0.0
     count = 0
-    for xb, yb in windows.batches(batch_size):
-        pred = predict(xb, params, cfg)
-        # C order whatever pred's memory order, so the sums run in one order;
-        # one residual buffer, squared after its absolute value, since
-        # |d|**2 == d**2 exactly
-        diff = np.subtract(pred, yb, dtype=np.float64, order="C")
-        count += diff.size
-        abs_sum += float(np.abs(diff, out=diff).sum())
-        sq_sum += float(np.square(diff, out=diff).sum())
+    with operator_scope(params, cfg):
+        for xb, yb in windows.batches(batch_size):
+            pred = predict(xb, params, cfg)
+            # C order whatever pred's memory order, so the sums run in one
+            # order; one residual buffer, squared after its absolute value,
+            # since |d|**2 == d**2 exactly
+            diff = np.subtract(pred, yb, dtype=np.float64, order="C")
+            count += diff.size
+            abs_sum += float(np.abs(diff, out=diff).sum())
+            sq_sum += float(np.square(diff, out=diff).sum())
     if count == 0:
         raise ValueError("cannot evaluate an empty split")
     return MetricRow(dataset=dataset, horizon=cfg.horizon, seed=seed,

@@ -16,6 +16,9 @@ only when ``per_granularity`` is read.
 
 Above ``fold_pays``'s row count, each head's first product reads the
 branch's series through its ``embed_operator``, no embedding formed.
+Inside an ``operator_scope`` (one per ``evaluate`` call) those products
+are folded once, and each seasonal head with its mixer chain is one
+operator of the series (``fold_operators``).
 
 Everything is plain numpy; upsampling and its reverse run as banded
 operators (``preprocess.band_matmul``). Each stage's hand-derived reverse
@@ -27,6 +30,8 @@ from __future__ import annotations
 
 import math
 import os
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from pathlib import Path
@@ -248,10 +253,10 @@ def linear(x: np.ndarray, weight: np.ndarray, bias: np.ndarray,
            residual: np.ndarray | None = None) -> np.ndarray:
     """``x @ weight + bias`` over the last axis as one matmul (weights shared
     across leading axes, ``bias`` broadcast against them); with
-    ``residual``: ``(residual + x @ weight) + bias``."""
+    ``residual``: ``(x @ weight + residual) + bias``, added in place."""
     out = (x.reshape(-1, x.shape[-1]) @ weight).reshape(*x.shape[:-1], weight.shape[-1])
     if residual is not None:
-        out = residual.reshape(out.shape) + out
+        out += residual.reshape(out.shape)
     out += bias
     return out
 
@@ -372,7 +377,7 @@ def mpp_seasonal(u: np.ndarray, params: ParamSet, schedule: list[int],
 def mim(z_list: list[np.ndarray],
         mixers: list[tuple[np.ndarray, np.ndarray]]) -> list[np.ndarray]:
     """Coarse-to-fine accumulation: each head adds a linear map of the
-    previous (coarser) mixed output, ``(z + mixed @ weight) + bias``, run
+    previous (coarser) mixed output, ``(mixed @ weight + z) + bias``, run
     by ``linear`` as one GEMM over all B·C rows (a stacked (B, C, G)
     matmul would be B small ones). ``mixers`` holds one (weight, bias)
     pair per head from the second on."""
@@ -477,6 +482,80 @@ def fuse_backward(d_fused: np.ndarray, heads: list[np.ndarray],
 
 
 # ---------------------------------------------------------------------------
+# the folded operators of fixed parameters: built once per ``evaluate`` call
+
+
+def season_chain(op: np.ndarray, params: ParamSet, cfg: ModelConfig) -> list[np.ndarray]:
+    """Each head's seasonal forecast, mixer chain included, as one affine
+    map of the seasonal series stacked like its ``embed_operator`` ``op``:
+    ``O_i = op W_i + [0; b_i] + O_{i-1} M_i + [0; m_i]`` (no ``M`` term with
+    MIM off), composed in float64 and cast once to the parameters' dtype."""
+    t, op64, chain = cfg.lookback, op.astype(np.float64), []
+    for i in range(1, cfg.heads + 1):
+        weight, bias = _affine(params, f"season_head_{i}")
+        o = op64 @ weight
+        o[t:] += bias
+        if chain and cfg.use_mim:
+            weight, bias = _affine(params, f"mixer_s_{i}")
+            o += chain[-1] @ weight
+            o[t:] += bias
+        chain.append(o)
+    return [o.astype(op.dtype) for o in chain]
+
+
+class FoldedOperators(NamedTuple):
+    """What a folded forward of fixed parameters reads: each branch's
+    ``embed_operator``, and the parameters with every head's first product
+    already folded over the series, so ``season_head_i`` is its
+    ``season_chain`` operator and ``trend_head_i.fc1`` the trend
+    operator's product ``head_product`` forms."""
+    ops: list[np.ndarray]
+    tensors: dict[str, np.ndarray]
+
+
+def fold_operators(params: ParamSet, cfg: ModelConfig) -> FoldedOperators:
+    ops, t = [embed_operator(params, br, cfg) for br in "st"], cfg.lookback
+    tensors = dict(params.items())
+    for i, o in enumerate(season_chain(ops[0], params, cfg), start=1):
+        tensors[f"season_head_{i}.weight"], tensors[f"season_head_{i}.bias"] = o[:t], o[t:]
+        weight, bias = _affine(params, f"trend_head_{i}.fc1")
+        folded = ops[1] @ weight
+        tensors[f"trend_head_{i}.fc1.weight"] = folded[:t]
+        tensors[f"trend_head_{i}.fc1.bias"] = folded[t:] + bias
+    return FoldedOperators(ops, tensors)
+
+
+class _Scope:
+    """One ``operator_scope``: its parameters, config and, once a folded
+    forward of them has run, their ``fold_operators``."""
+
+    def __init__(self, params: ParamSet, cfg: ModelConfig):
+        self.params, self.cfg, self.built = params, cfg, None
+
+    def operators(self, params: ParamSet, cfg) -> FoldedOperators | None:
+        if params is not self.params or cfg is not self.cfg:
+            return None
+        if self.built is None:
+            self.built = fold_operators(params, cfg)
+        return self.built
+
+
+_SCOPE: ContextVar[_Scope | None] = ContextVar("mdmixer_operator_scope", default=None)
+
+
+@contextmanager
+def operator_scope(params: ParamSet, cfg):
+    """Within the block, the folded forwards of ``params`` under ``cfg``
+    read one ``fold_operators``, built at the first of them; nothing
+    outlives the block. The parameters must not change inside it."""
+    token = _SCOPE.set(_Scope(params, cfg))
+    try:
+        yield
+    finally:
+        _SCOPE.reset(token)
+
+
+# ---------------------------------------------------------------------------
 # full forward and reverse pass
 
 
@@ -521,9 +600,13 @@ def forward_with_context(x: np.ndarray, params: ParamSet,
     decomposed = decompose(x_norm, cfg.kernel)
     parts = (decomposed.seasonal, decomposed.trend)
     series = [part.transpose(0, 2, 1) for part in parts]  # (B, C, T) rows
+    built = None
     if fold_pays(b * c, cfg.lookback, cfg.num_patches * cfg.embed_dim,
                  c if cfg.pos_encoding == "per_channel" else 1):
-        ops, inputs = [embed_operator(params, br, cfg) for br in "st"], series
+        scope = _SCOPE.get()
+        built = scope.operators(params, cfg) if scope else None
+        ops = built.ops if built else [embed_operator(params, br, cfg) for br in "st"]
+        inputs = series
         pooled = (u @ m[:cfg.lookback] + m[cfg.lookback:]
                   for u, m in zip(series, (op.mean(axis=1) for op in ops)))
     else:
@@ -534,11 +617,15 @@ def forward_with_context(x: np.ndarray, params: ParamSet,
         inputs = [e.reshape(b, c, -1) for e in xd]
         pooled = (e.mean(axis=(2, 3)) for e in xd)
 
-    z_s = mpp_seasonal(inputs[0], params, schedule, ops[0])
-    z_t, trend_acts = zip(*(mlp(inputs[1], params, f"trend_head_{i}", op=ops[1])
+    # a scope's tensors hold the heads' first products folded already, and
+    # its seasonal heads end the mixer chain
+    tensors, head_ops = (built.tensors, [None, None]) if built else (params, ops)
+    z_s = mpp_seasonal(inputs[0], tensors, schedule, head_ops[0])
+    z_t, trend_acts = zip(*(mlp(inputs[1], tensors, f"trend_head_{i}", op=head_ops[1])
                             for i in range(1, heads + 1)))
     y_s, y_t = (mim(z, [_affine(params, f"mixer_{br}_{i}") for i in range(2, heads + 1)])
-                if cfg.use_mim else list(z) for z, br in ((z_s, "s"), (z_t, "t")))
+                if cfg.use_mim and not (built and br == "s") else list(z)
+                for z, br in ((z_s, "s"), (z_t, "t")))
 
     y_sum = [a + bb for a, bb in zip(y_s, y_t)]
     # without the gate the fusion runs with zero weights: the residual

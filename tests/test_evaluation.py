@@ -5,15 +5,18 @@ import numpy as np
 import pytest
 
 from mdmixer import evaluation, model
-from mdmixer.config import ModelConfig
+from mdmixer.config import ModelConfig, TrainSettings
 from mdmixer.data import make_windows
 from mdmixer.evaluation import MetricRow, aggregate_seeds, eval_batch_size, \
     evaluate, export_amwg, export_granularity_forecasts, mae, mse, predict, \
     write_amwg_csv
-from mdmixer.model import forward, init_params
+from mdmixer.model import forward, init_params, load_checkpoint, save_checkpoint
 from mdmixer.preprocess import instance_denormalize
+from mdmixer.training import adamw_step, backward, init_optimizer
 
 from conftest import TINY, make_frame, rand_batch
+from golden import TOLERANCE
+from test_training import TRAINED_SHAPES
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +235,138 @@ def test_wide_inference_batches_are_bounded(monkeypatch):
     heatmap = export_amwg(params, cfg, windows.inputs)
     assert [s[0] for s in shapes] == [6, 6, 6, 2]
     np.testing.assert_allclose(heatmap, gates, rtol=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# evaluate's folded operators
+
+
+def _windows(cfg, count: int, seed: int = 0):
+    rng = np.random.default_rng(seed)
+    series = rng.normal(size=(cfg.lookback + cfg.horizon + count - 1, cfg.channels))
+    return make_windows(make_frame(series), cfg.lookback, cfg.horizon)
+
+
+def _counting_builds(monkeypatch) -> list:
+    builds = []
+    original = model.fold_operators
+
+    def count(params, cfg):
+        builds.append(cfg)
+        return original(params, cfg)
+    monkeypatch.setattr(model, "fold_operators", count)
+    return builds
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kw, count", [
+    *(pytest.param(*shape.values, 80 if shape.values[0].get("horizon") == 720 else 300,
+                   id=shape.id) for shape in TRAINED_SHAPES),
+    pytest.param(dict(channels=321), 14, id="C321")])
+def test_evaluate_forecasts_match_the_embedding_path(kw, count, dtype, monkeypatch):
+    """Every forecast ``evaluate`` forms, each folded batch's seasonal heads
+    through their composed mixer chain, matches the embedding path's
+    forecast of the same batch within the golden harness's norm-relative
+    bounds (1e-6 in float32, 1e-12 in float64). C=7, T=F=96 unless stated;
+    300 windows (batches of 256 and 44), 80 at F=720 (39, 39 and an
+    unfolded 2) and 14 at C=321 (6, 6, 2)."""
+    cfg = ModelConfig(**{"lookback": 96, "horizon": 96, "channels": 7, **kw})
+    params = init_params(cfg, 0).astype(dtype)
+    batches = []
+    original = evaluation.predict
+
+    def record(x, params, cfg):
+        batches.append((x, original(x, params, cfg)))
+        return batches[-1][1]
+    monkeypatch.setattr(evaluation, "predict", record)
+    evaluate(params, cfg, _windows(cfg, count))
+    monkeypatch.setattr(model, "fold_pays", lambda *shape: False)
+    assert len(batches) == -(-count // eval_batch_size(cfg.channels, cfg.horizon))
+    for i, (x, got) in enumerate(batches):
+        want = forward(x, params, cfg).final
+        assert got.dtype == want.dtype and got.shape == want.shape
+        err = np.linalg.norm(got.astype(np.float64) - want) / np.linalg.norm(want)
+        assert err <= TOLERANCE[dtype], (i, err)
+
+
+def test_evaluate_builds_the_folded_operators_once(monkeypatch):
+    """At F=720 (T=96, C=7) an evaluation batch of 39 windows folds: the
+    11 batches of a 420-window split share one build, and no folded batch
+    multiplies by a seasonal head or mixer. A split whose batches do not
+    fold builds nothing, nor do ``predict``, ``forward`` and a training
+    step on batches that fold."""
+    cfg = ModelConfig(lookback=96, horizon=720, channels=7)
+    params = init_params(cfg, 0)
+    windows = _windows(cfg, 420)
+    builds = _counting_builds(monkeypatch)
+    shapes, weights = [], []
+    _recording(monkeypatch, "predict", shapes)
+    original = model.linear
+
+    def record(x, weight, bias, residual=None):
+        weights.append(weight)
+        return original(x, weight, bias, residual)
+    monkeypatch.setattr(model, "linear", record)
+    evaluate(params, cfg, windows)
+    assert len(shapes) == 11 and len(builds) == 1
+    seasonal = [n for n in params.names()
+                if n.startswith(("season_head_", "mixer_s_")) and n.endswith(".weight")]
+    used = [n for n in seasonal for w in weights if np.shares_memory(w, params[n])]
+    assert not used, used
+
+    evaluate(params, cfg, windows, batch_size=8)  # 56 rows a batch
+    assert len(builds) == 1
+    x = windows.inputs[:39]
+    assert model.forward_with_context(x, params, cfg)[1].ops[0] is not None
+    predict(x, params, cfg)
+    forward(x, params, cfg)
+    xb, yb = windows.inputs[:32], windows.targets[:32]  # 224 rows: folded
+    grads, _ = backward(xb, yb, params, cfg)
+    adamw_step(params, grads, init_optimizer(params, TrainSettings()))
+    assert len(builds) == 1
+
+
+def test_evaluate_carries_nothing_across_calls(monkeypatch):
+    """Evaluate, take one AdamW step, evaluate again: the second call sees
+    the stepped parameters, bit for bit as a fresh copy of them. A call
+    that raises mid-split leaves no operators behind: a later forward of
+    the same parameters has the bits it had before."""
+    cfg = ModelConfig(lookback=96, horizon=96, channels=7)
+    params = init_params(cfg, 0)
+    windows = _windows(cfg, 300)
+    first = evaluate(params, cfg, windows)
+    xb, yb = windows.inputs[:32], windows.targets[:32]
+    grads, _ = backward(xb, yb, params, cfg)
+    adamw_step(params, grads, init_optimizer(params, TrainSettings()))
+    again = evaluate(params, cfg, windows)
+    fresh = evaluate(params.copy(), cfg, windows)
+    assert (again.mse, again.mae) == (fresh.mse, fresh.mae) != (first.mse, first.mae)
+
+    x = windows.inputs[:256]
+    before = forward(x, params, cfg).final.tobytes()
+    original = evaluation.predict
+
+    def fail_second(x, params, cfg, calls=[]):
+        calls.append(len(x))
+        if len(calls) == 2:
+            raise RuntimeError("second batch")
+        return original(x, params, cfg)
+    monkeypatch.setattr(evaluation, "predict", fail_second)
+    with pytest.raises(RuntimeError, match="second batch"):
+        evaluate(params, cfg, windows)
+    assert forward(x, params, cfg).final.tobytes() == before
+
+
+def test_evaluate_on_reloaded_parameters_is_bit_identical(tmp_path):
+    """``evaluate`` on a checkpoint's reloaded parameters (a new parameter
+    set, the same bits) gives the metrics it gives in memory, exactly."""
+    cfg = ModelConfig(lookback=96, horizon=96, channels=7)
+    params = init_params(cfg, 4)
+    windows = _windows(cfg, 300, seed=5)
+    save_checkpoint(tmp_path / "p.ckpt", params)
+    loaded = load_checkpoint(tmp_path / "p.ckpt")
+    row, again = evaluate(params, cfg, windows), evaluate(loaded, cfg, windows)
+    assert (row.mse, row.mae) == (again.mse, again.mae)
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,8 @@ from mdmixer.config import ConfigError, ModelConfig, TrainSettings
 from mdmixer.model import CheckpointError, ParamSet, amwg, band_blocks, \
     embed, embed_operator, embed_operator_backward, fold_pays, forward, fuse, \
     fuse_backward, granularity_schedule, init_params, load_checkpoint, mim, mlp, \
-    mpp_seasonal, param_layout, save_checkpoint, upsample, upsample_backward, \
-    _interp_matrix, _operator_grad, _parse_manifest
+    mpp_seasonal, param_layout, save_checkpoint, season_chain, upsample, \
+    upsample_backward, _interp_matrix, _operator_grad, _parse_manifest
 from mdmixer.preprocess import band_matmul, patch
 from mdmixer.training import _pool_matrix, adamw_step, init_optimizer
 
@@ -188,6 +188,43 @@ def test_embed_operator_is_the_patch_embedding(kw):
                  params["embed_s.bias"], params["pos_s"]).reshape(5, 3, -1)
     got = x.transpose(0, 2, 1) @ op[:96] + op[96:]
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("kw", [
+    pytest.param({}, id="shared"),
+    pytest.param(dict(pos_encoding="per_channel"), id="per_channel"),
+    pytest.param(dict(stride=10, heads=4), id="stride10-heads4"),
+    pytest.param(dict(use_mim=False), id="mim_off"),
+    pytest.param(dict(heads=1), id="one_head")])
+def test_season_chain_is_the_mixed_seasonal_heads(kw):
+    """Head i's ``season_chain`` operator applied to the seasonal series,
+    ``x @ O_i[:T] + O_i[T:]``, is that head's seasonal forecast after the
+    mixer chain (none with MIM off or at one head), from the embeddings;
+    in float64 to 1e-12 of the largest value, with every bias nonzero. The
+    float32 operators are the float64 ones cast once."""
+    cfg = ModelConfig(**{"lookback": 96, "horizon": 96, "channels": 3, **kw})
+    params = init_params(cfg, 0, dtype=np.float64)
+    rng = np.random.default_rng(3)
+    for name in params.names():
+        if name.endswith(".bias") and name.startswith(("embed_s", "season_", "mixer_s")):
+            params[name][:] = rng.normal(size=params[name].shape)
+    x = rand_batch(rng, 5, 96, 3, dtype=np.float64)
+    u = embed(patch(x, cfg.patch_len, cfg.stride).patches, params["embed_s.weight"],
+              params["embed_s.bias"], params["pos_s"]).reshape(5, 3, -1)
+    z = mpp_seasonal(u, params, granularity_schedule(cfg.horizon, cfg.heads))
+    mixers = [(params[f"mixer_s_{i}.weight"], params[f"mixer_s_{i}.bias"])
+              for i in range(2, cfg.heads + 1)] if cfg.use_mim else None
+    wants = mim(z, mixers) if mixers is not None else z
+    chain = season_chain(embed_operator(params, "s", cfg), params, cfg)
+    assert len(chain) == len(wants) == cfg.heads
+    for o, want in zip(chain, wants):
+        got = x.transpose(0, 2, 1) @ o[:96] + o[96:]
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    params32 = params.astype(np.float32)
+    chain32 = season_chain(embed_operator(params32, "s", cfg), params32, cfg)
+    for o, o32 in zip(season_chain(embed_operator(params32, "s", cfg),
+                                   params32.astype(np.float64), cfg), chain32):
+        assert o32.dtype == np.float32 and o32.tobytes() == o.astype(np.float32).tobytes()
 
 
 def test_fold_pays_from_multiply_adds():
