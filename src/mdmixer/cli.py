@@ -178,6 +178,8 @@ def cmd_gradcheck(args) -> int:
     report = gradcheck(cfg, seed=run_cfg.seeds[0], h=args.h, tol=args.tol)
     print(f"max relative error {report.max_rel_err:.3e} "
           f"(worst: {report.worst_param}, tolerance {report.tolerance:g})")
+    print(f"worst entry: analytic gradient {report.worst_analytic:.3e}, "
+          f"finite-difference noise {report.worst_noise:.1e}")
     return 0 if report.passed else 1
 
 

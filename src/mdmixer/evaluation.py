@@ -1,6 +1,9 @@
 """Metrics, the benchmark evaluation protocol, seed aggregation, the
 writer every run file goes through, and the interpretability exports
-(gate-weight heatmap, per-granularity forecasts)."""
+(gate-weight heatmap, per-granularity forecasts).
+
+``evaluate`` forecasts every batch of a split from one
+``model.inference_plan`` of the parameters when its batches fold."""
 
 from __future__ import annotations
 
@@ -12,8 +15,8 @@ import numpy as np
 from .baselines import forecaster
 from .config import BaselineConfig, ModelConfig
 from .data import WindowBatch
-from .model import ForecastOutput, ParamSet, forward, operator_scope, upsample, \
-    write_atomically
+from .model import ForecastOutput, InferencePlan, ParamSet, fold_pays, forward, \
+    inference_plan, plan_forecast, upsample, write_atomically
 
 # Inference batches hold at most EVAL_BATCH windows, at most EVAL_CELLS
 # windows x channels, and at most EVAL_CELLS x 96 forecast values (windows x
@@ -58,9 +61,12 @@ def mae(y: np.ndarray, y_true: np.ndarray) -> float:
     return float(np.abs(diff).mean())
 
 
-def predict(x: np.ndarray, params: ParamSet,
-            cfg: ModelConfig | BaselineConfig) -> np.ndarray:
-    """Forecast (B x F x C) from either the main model or a baseline."""
+def predict(x: np.ndarray, params: ParamSet, cfg: ModelConfig | BaselineConfig,
+            plan: InferencePlan | None = None) -> np.ndarray:
+    """Forecast (B x F x C) from either the main model or a baseline; with
+    ``plan``, an ``inference_plan`` of ``params`` and ``cfg``, from it."""
+    if plan is not None:
+        return plan_forecast(x, plan)
     _, _, forward_with_context, _ = forecaster(cfg)
     return forward_with_context(x, params, cfg)[0].final
 
@@ -79,25 +85,31 @@ def evaluate(params: ParamSet, cfg, windows: WindowBatch, dataset: str = "",
     in the dataset-standardized space (the space the windows live in),
     accumulated elementwise over every window, in order. ``batch_size``
     defaults to ``eval_batch_size`` of the windows' channel count and the
-    config's horizon. The batches that fold share one set of folded
-    operators (``model.operator_scope``), built at the first of them."""
+    config's horizon. When the first batch folds (``model.fold_pays``),
+    every batch forecasts from one ``model.inference_plan``, built for the
+    call."""
     if batch_size is None:
         batch_size = eval_batch_size(windows.inputs.shape[2], cfg.horizon)
+    batches = list(windows.batches(batch_size))
+    if not batches:
+        raise ValueError("cannot evaluate an empty split")
+    plan = None
+    if isinstance(cfg, ModelConfig) and fold_pays(
+            len(batches[0][0]) * cfg.channels, cfg.lookback, cfg.num_patches * cfg.embed_dim,
+            cfg.channels if cfg.pos_encoding == "per_channel" else 1):
+        plan = inference_plan(params, cfg)
     sq_sum = 0.0
     abs_sum = 0.0
     count = 0
-    with operator_scope(params, cfg):
-        for xb, yb in windows.batches(batch_size):
-            pred = predict(xb, params, cfg)
-            # C order whatever pred's memory order, so the sums run in one
-            # order; one residual buffer, squared after its absolute value,
-            # since |d|**2 == d**2 exactly
-            diff = np.subtract(pred, yb, dtype=np.float64, order="C")
-            count += diff.size
-            abs_sum += float(np.abs(diff, out=diff).sum())
-            sq_sum += float(np.square(diff, out=diff).sum())
-    if count == 0:
-        raise ValueError("cannot evaluate an empty split")
+    for xb, yb in batches:
+        pred = predict(xb, params, cfg, plan=plan)
+        # C order whatever pred's memory order, so the sums run in one
+        # order; one residual buffer, squared after its absolute value,
+        # since |d|**2 == d**2 exactly
+        diff = np.subtract(pred, yb, dtype=np.float64, order="C")
+        count += diff.size
+        abs_sum += float(np.abs(diff, out=diff).sum())
+        sq_sum += float(np.square(diff, out=diff).sum())
     return MetricRow(dataset=dataset, horizon=cfg.horizon, seed=seed,
                      mse=sq_sum / count, mae=abs_sum / count)
 

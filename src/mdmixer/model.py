@@ -16,9 +16,10 @@ only when ``per_granularity`` is read.
 
 Above ``fold_pays``'s row count, each head's first product reads the
 branch's series through its ``embed_operator``, no embedding formed.
-Inside an ``operator_scope`` (one per ``evaluate`` call) those products
-are folded once, and each seasonal head with its mixer chain is one
-operator of the series (``fold_operators``).
+``evaluate`` forecasts from an ``inference_plan`` instead, built once per
+call: one operator of the normalized series, the trend/seasonal split
+folded in, holds every seasonal head through its mixer chain, every trend
+head's first product and the gate's inputs (``plan_forecast``).
 
 Everything is plain numpy; upsampling and its reverse run as banded
 operators (``preprocess.band_matmul``). Each stage's hand-derived reverse
@@ -30,10 +31,9 @@ from __future__ import annotations
 
 import math
 import os
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
+from itertools import accumulate
 from pathlib import Path
 from types import MappingProxyType
 from typing import NamedTuple
@@ -41,8 +41,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import ConfigError, ModelConfig
-from .preprocess import InstanceStats, band_blocks, band_matmul, channel_major, \
-    decompose, instance_denormalize, instance_normalize, patch
+from .preprocess import BAND_WIDTH, InstanceStats, _moving_average_matrix, band_blocks, \
+    band_matmul, channel_major, decompose, instance_denormalize, instance_normalize, patch
 
 CHECKPOINT_MAGIC = "mdmixer-checkpoint v1"
 
@@ -482,7 +482,7 @@ def fuse_backward(d_fused: np.ndarray, heads: list[np.ndarray],
 
 
 # ---------------------------------------------------------------------------
-# the folded operators of fixed parameters: built once per ``evaluate`` call
+# the inference plan of fixed parameters: built once per ``evaluate`` call
 
 
 def season_chain(op: np.ndarray, params: ParamSet, cfg: ModelConfig) -> list[np.ndarray]:
@@ -503,56 +503,75 @@ def season_chain(op: np.ndarray, params: ParamSet, cfg: ModelConfig) -> list[np.
     return [o.astype(op.dtype) for o in chain]
 
 
-class FoldedOperators(NamedTuple):
-    """What a folded forward of fixed parameters reads: each branch's
-    ``embed_operator``, and the parameters with every head's first product
-    already folded over the series, so ``season_head_i`` is its
-    ``season_chain`` operator and ``trend_head_i.fc1`` the trend
-    operator's product ``head_product`` forms."""
-    ops: list[np.ndarray]
-    tensors: dict[str, np.ndarray]
+class InferencePlan(NamedTuple):
+    """What ``plan_forecast`` reads of fixed parameters. ``operator`` is
+    one affine map of the normalized series, stacked like an
+    ``embed_operator`` (T + c' rows), with the moving-average split folded
+    in; its columns hold every seasonal head through its mixer chain, every
+    trend head's ``fc1`` pre-activation, then the gate's two pooled inputs.
+    ``interp`` stacks the heads' interpolation operators when each is one
+    band block (F <= ``BAND_WIDTH``), else None."""
+    operator: np.ndarray
+    interp: np.ndarray | None
+    params: ParamSet
+    cfg: ModelConfig
 
 
-def fold_operators(params: ParamSet, cfg: ModelConfig) -> FoldedOperators:
-    ops, t = [embed_operator(params, br, cfg) for br in "st"], cfg.lookback
-    tensors = dict(params.items())
-    for i, o in enumerate(season_chain(ops[0], params, cfg), start=1):
-        tensors[f"season_head_{i}.weight"], tensors[f"season_head_{i}.bias"] = o[:t], o[t:]
+def inference_plan(params: ParamSet, cfg: ModelConfig) -> InferencePlan:
+    """The plan of ``params``, composed in float64 and cast once: each
+    branch's ``embed_operator`` is first folded over its part of the split,
+    ``x @ M`` for the trend and ``x - x @ M`` for the seasonal series."""
+    t, split = cfg.lookback, _moving_average_matrix(cfg.lookback, cfg.kernel)
+    op_s, op_t = (embed_operator(params, br, cfg).astype(np.float64) for br in "st")
+    op_s[:t] -= split @ op_s[:t]
+    op_t[:t] = split @ op_t[:t]
+    columns = season_chain(op_s, params, cfg)
+    for i in range(1, cfg.heads + 1):
         weight, bias = _affine(params, f"trend_head_{i}.fc1")
-        folded = ops[1] @ weight
-        tensors[f"trend_head_{i}.fc1.weight"] = folded[:t]
-        tensors[f"trend_head_{i}.fc1.bias"] = folded[t:] + bias
-    return FoldedOperators(ops, tensors)
+        columns.append(op_t @ weight)
+        columns[-1][t:] += bias
+    columns += [op.mean(axis=1, keepdims=True) for op in (op_s, op_t)]
+    interp = None
+    if cfg.horizon <= BAND_WIDTH:
+        interp = np.concatenate([_interp_matrix(g, cfg.horizon) for g in
+                                 granularity_schedule(cfg.horizon, cfg.heads)])
+        interp = interp.astype(params.dtype)
+    return InferencePlan(np.concatenate(columns, axis=1).astype(params.dtype),
+                         interp, params, cfg)
 
 
-class _Scope:
-    """One ``operator_scope``: its parameters, config and, once a folded
-    forward of them has run, their ``fold_operators``."""
-
-    def __init__(self, params: ParamSet, cfg: ModelConfig):
-        self.params, self.cfg, self.built = params, cfg, None
-
-    def operators(self, params: ParamSet, cfg) -> FoldedOperators | None:
-        if params is not self.params or cfg is not self.cfg:
-            return None
-        if self.built is None:
-            self.built = fold_operators(params, cfg)
-        return self.built
-
-
-_SCOPE: ContextVar[_Scope | None] = ContextVar("mdmixer_operator_scope", default=None)
-
-
-@contextmanager
-def operator_scope(params: ParamSet, cfg):
-    """Within the block, the folded forwards of ``params`` under ``cfg``
-    read one ``fold_operators``, built at the first of them; nothing
-    outlives the block. The parameters must not change inside it."""
-    token = _SCOPE.set(_Scope(params, cfg))
-    try:
-        yield
-    finally:
-        _SCOPE.reset(token)
+def plan_forecast(x: np.ndarray, plan: InferencePlan) -> np.ndarray:
+    """``forward(x, ...).final`` from ``plan``, in other rounding: one
+    product of the normalized windows with its operator, then per head
+    ReLU, ``fc2`` and the trend mixer added into the head's seasonal
+    columns, the gate, and the fusion, at F <= ``BAND_WIDTH`` one product
+    of the gate-scaled heads with the stacked interpolation operators."""
+    params, cfg = plan.params, plan.cfg
+    x_norm, stats = front_end(x, params, cfg)
+    b, c, t, heads, hid = len(x), cfg.channels, cfg.lookback, cfg.heads, cfg.hidden
+    schedule = granularity_schedule(cfg.horizon, heads)
+    cols = linear(x_norm.transpose(0, 2, 1), plan.operator[:t],
+                  plan.operator[t:]).reshape(b * c, -1)
+    edges = list(accumulate(schedule, initial=0))  # head i's columns of y
+    y, hidden, trend = cols[:, :edges[-1]], cols[:, edges[-1]:-2], None
+    np.maximum(hidden, 0, out=hidden)
+    for i in range(1, heads + 1):
+        z = linear(hidden[:, (i - 1) * hid:i * hid], *_affine(params, f"trend_head_{i}.fc2"))
+        trend = linear(trend, *_affine(params, f"mixer_t_{i}"), residual=z) \
+            if cfg.use_mim and i > 1 else z
+        y[:, edges[i - 1]:edges[i]] += trend
+    weights = np.zeros((b, heads, c), dtype=params.dtype)
+    if cfg.amwg_enabled:
+        pooled = cols[:, -2:].reshape(b, c, 2).transpose(0, 2, 1)
+        weights = amwg(pooled.reshape(b, 2 * c), params, heads)[0]
+    if plan.interp is None:
+        fused = fuse([y[:, e0:e1].reshape(b, c, -1) for e0, e1 in zip(edges, edges[1:])],
+                     weights, cfg.horizon)
+    else:
+        scale = (weights + 1.0 / heads).transpose(0, 2, 1).reshape(b * c, heads)
+        y *= np.repeat(scale, schedule, axis=1)
+        fused = (y @ plan.interp).reshape(b, c, -1)
+    return instance_denormalize(fused.transpose(0, 2, 1), stats)
 
 
 # ---------------------------------------------------------------------------
@@ -600,12 +619,9 @@ def forward_with_context(x: np.ndarray, params: ParamSet,
     decomposed = decompose(x_norm, cfg.kernel)
     parts = (decomposed.seasonal, decomposed.trend)
     series = [part.transpose(0, 2, 1) for part in parts]  # (B, C, T) rows
-    built = None
     if fold_pays(b * c, cfg.lookback, cfg.num_patches * cfg.embed_dim,
                  c if cfg.pos_encoding == "per_channel" else 1):
-        scope = _SCOPE.get()
-        built = scope.operators(params, cfg) if scope else None
-        ops = built.ops if built else [embed_operator(params, br, cfg) for br in "st"]
+        ops = [embed_operator(params, br, cfg) for br in "st"]
         inputs = series
         pooled = (u @ m[:cfg.lookback] + m[cfg.lookback:]
                   for u, m in zip(series, (op.mean(axis=1) for op in ops)))
@@ -617,15 +633,11 @@ def forward_with_context(x: np.ndarray, params: ParamSet,
         inputs = [e.reshape(b, c, -1) for e in xd]
         pooled = (e.mean(axis=(2, 3)) for e in xd)
 
-    # a scope's tensors hold the heads' first products folded already, and
-    # its seasonal heads end the mixer chain
-    tensors, head_ops = (built.tensors, [None, None]) if built else (params, ops)
-    z_s = mpp_seasonal(inputs[0], tensors, schedule, head_ops[0])
-    z_t, trend_acts = zip(*(mlp(inputs[1], tensors, f"trend_head_{i}", op=head_ops[1])
+    z_s = mpp_seasonal(inputs[0], params, schedule, ops[0])
+    z_t, trend_acts = zip(*(mlp(inputs[1], params, f"trend_head_{i}", op=ops[1])
                             for i in range(1, heads + 1)))
     y_s, y_t = (mim(z, [_affine(params, f"mixer_{br}_{i}") for i in range(2, heads + 1)])
-                if cfg.use_mim and not (built and br == "s") else list(z)
-                for z, br in ((z_s, "s"), (z_t, "t")))
+                if cfg.use_mim else list(z) for z, br in ((z_s, "s"), (z_t, "t")))
 
     y_sum = [a + bb for a, bb in zip(y_s, y_t)]
     # without the gate the fusion runs with zero weights: the residual

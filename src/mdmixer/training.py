@@ -67,9 +67,14 @@ class TrainReport:
 
 @dataclass
 class GradCheckReport:
+    """The largest relative error over every entry, the entry it was found
+    at, and that entry's analytic gradient and finite-difference noise,
+    ``|q(h) - q(h/10)|`` of its central quotients q."""
     max_rel_err: float
     worst_param: str
     tolerance: float
+    worst_analytic: float = 0.0
+    worst_noise: float = 0.0
 
     @property
     def passed(self) -> bool:
@@ -355,18 +360,25 @@ def gradcheck(cfg: ModelConfig | BaselineConfig, seed: int, h: float = 1e-5,
     def loss_value() -> float:
         return total_loss(forward_with_context(x, params, cfg)[0], y_true, cfg).total
 
-    grads, _ = backward(x, y_true, params, cfg)
-    entries = [f"{name}[{i}]" for name, arr in params.items() for i in range(arr.size)]
-    max_rel, worst = 0.0, ""
-    for idx, (entry, analytic) in enumerate(zip(entries, grads.flat)):
+    def quotient(idx: int, step: float) -> float:
         saved = params.flat[idx]
-        params.flat[idx] = saved + h
+        params.flat[idx] = saved + step
         plus = loss_value()
-        params.flat[idx] = saved - h
+        params.flat[idx] = saved - step
         minus = loss_value()
         params.flat[idx] = saved
-        numeric = (plus - minus) / (2.0 * h)
+        return (plus - minus) / (2.0 * step)
+
+    grads, _ = backward(x, y_true, params, cfg)
+    entries = [f"{name}[{i}]" for name, arr in params.items() for i in range(arr.size)]
+    report = GradCheckReport(max_rel_err=0.0, worst_param="", tolerance=tol)
+    worst = None
+    for idx, (entry, analytic) in enumerate(zip(entries, grads.flat)):
+        numeric = quotient(idx, h)
         rel = abs(numeric - analytic) / max(abs(numeric), abs(analytic), 1e-8)
-        if rel > max_rel:
-            max_rel, worst = rel, entry
-    return GradCheckReport(max_rel_err=max_rel, worst_param=worst, tolerance=tol)
+        if rel > report.max_rel_err:
+            report.max_rel_err, report.worst_param = rel, entry
+            report.worst_analytic, worst = float(analytic), (idx, numeric)
+    if worst is not None:  # one more loss pair: the roundoff in the worst quotient
+        report.worst_noise = abs(worst[1] - quotient(worst[0], h / 10))
+    return report

@@ -222,8 +222,10 @@ def test_gradcheck_command(tmp_path, capsys):
                    "model.heads = 2\nmodel.hidden = 4\nmodel.kernel = 3\n"
                    "seeds = 1\n")
     assert main(["gradcheck", "--config", str(cfg)]) == 0
-    out = capsys.readouterr().out
-    assert "max relative error" in out
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("max relative error")
+    assert out[1].startswith("worst entry: analytic gradient ")
+    assert "finite-difference noise" in out[1]
 
 
 def test_divergence_exits_3(tmp_path, capsys):

@@ -9,7 +9,11 @@ At each benchmark workload's shape and training batch size (see
   arena plus one ``adamw_step``, as ``train`` runs them on a gathered
   batch;
 * the same for one single-window ``evaluation.predict``;
-* the ``tracemalloc`` peak of that training step, in bytes.
+* the ``tracemalloc`` peak of that training step, in bytes;
+* for the forecaster, the calls and the peak of one
+  ``model.inference_plan`` build, and of one ``evaluate`` batch's forecast
+  from the plan (``evaluation.predict`` with ``plan``) of up to
+  ``eval_batch_size`` of the probe's windows.
 
 Unlike a timing, these repeat exactly from run to run, so the test
 requires equality: a change that adds work or memory to a step fails
@@ -37,7 +41,8 @@ import pytest
 from mdmixer.baselines import forecaster
 from mdmixer.config import BaselineConfig, ModelConfig, TrainSettings
 from mdmixer.data import make_windows
-from mdmixer.evaluation import predict
+from mdmixer.evaluation import eval_batch_size, predict
+from mdmixer.model import inference_plan
 from mdmixer.training import adamw_step, backward, init_optimizer
 
 FIXTURE = Path(__file__).with_name("counters.json")
@@ -103,10 +108,22 @@ def measure(name: str) -> dict[str, int]:
 
     step(), forecast()
     step_calls, predict_calls = _calls(step), _calls(forecast)
-    return {"step_python_calls": step_calls[0], "step_c_calls": step_calls[1],
-            "step_peak_bytes": _peak_bytes(step),
-            "predict_python_calls": predict_calls[0],
-            "predict_c_calls": predict_calls[1]}
+    counts = {"step_python_calls": step_calls[0], "step_c_calls": step_calls[1],
+              "step_peak_bytes": _peak_bytes(step),
+              "predict_python_calls": predict_calls[0],
+              "predict_c_calls": predict_calls[1]}
+    if family != "mdmixer":
+        return counts
+    task = windows.inputs[:eval_batch_size(channels, horizon)]
+    plan = inference_plan(params, cfg)
+    probes = {"plan_build": lambda: inference_plan(params, cfg),
+              "plan_task": lambda: predict(task, params, cfg, plan=plan)}
+    for name, probe in probes.items():
+        probe()
+        calls = _calls(probe)
+        counts.update({f"{name}_python_calls": calls[0], f"{name}_c_calls": calls[1],
+                       f"{name}_peak_bytes": _peak_bytes(probe)})
+    return counts
 
 
 def measure_all() -> dict[str, dict[str, int]]:

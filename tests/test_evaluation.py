@@ -96,7 +96,8 @@ def test_evaluate_metrics_ignore_the_forecast_memory_order(tiny_cfg, monkeypatch
     diff = forecast.astype(np.float64) - windows.targets.astype(np.float64)
     want = (float(np.square(diff).sum()) / diff.size, float(np.abs(diff).sum()) / diff.size)
     for name, pred in layouts.items():
-        monkeypatch.setattr(evaluation, "predict", lambda x, params, cfg, pred=pred: pred)
+        monkeypatch.setattr(evaluation, "predict",
+                            lambda x, params, cfg, plan=None, pred=pred: pred)
         row = evaluate(init_params(tiny_cfg, 0), tiny_cfg, windows,
                        batch_size=len(windows))
         assert (row.mse, row.mae) == want, name
@@ -159,7 +160,7 @@ def test_long_horizon_evaluation_memory_is_bounded():
     assert peak < 48e6, peak
 
 
-def test_evaluate_metrics_match_two_temporaries(tiny_cfg):
+def test_evaluate_metrics_match_two_temporaries(tiny_cfg, monkeypatch):
     # the residual buffer is reused for |d| and then |d|**2, which equals
     # d**2 exactly, so the sums are those of separate temporaries
     params = init_params(tiny_cfg, 5)
@@ -180,9 +181,9 @@ def test_evaluate_metrics_match_two_temporaries(tiny_cfg):
 def _recording(monkeypatch, name, shapes):
     original = getattr(evaluation, name)
 
-    def record(x, params, cfg):
+    def record(x, params, cfg, **plan):
         shapes.append(x.shape)
-        return original(x, params, cfg)
+        return original(x, params, cfg, **plan)
     monkeypatch.setattr(evaluation, name, record)
 
 
@@ -238,7 +239,7 @@ def test_wide_inference_batches_are_bounded(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# evaluate's folded operators
+# evaluate's inference plan
 
 
 def _windows(cfg, count: int, seed: int = 0):
@@ -249,13 +250,25 @@ def _windows(cfg, count: int, seed: int = 0):
 
 def _counting_builds(monkeypatch) -> list:
     builds = []
-    original = model.fold_operators
+    original = evaluation.inference_plan
 
     def count(params, cfg):
         builds.append(cfg)
         return original(params, cfg)
-    monkeypatch.setattr(model, "fold_operators", count)
+    monkeypatch.setattr(evaluation, "inference_plan", count)
     return builds
+
+
+def _capturing(monkeypatch) -> dict:
+    """Each task's forecast, by the address of its first window."""
+    forecasts = {}
+    original = evaluation.predict
+
+    def record(x, params, cfg, plan=None):
+        forecasts[x.ctypes.data] = (x, original(x, params, cfg, plan=plan))
+        return forecasts[x.ctypes.data][1]
+    monkeypatch.setattr(evaluation, "predict", record)
+    return forecasts
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -264,36 +277,32 @@ def _counting_builds(monkeypatch) -> list:
                    id=shape.id) for shape in TRAINED_SHAPES),
     pytest.param(dict(channels=321), 14, id="C321")])
 def test_evaluate_forecasts_match_the_embedding_path(kw, count, dtype, monkeypatch):
-    """Every forecast ``evaluate`` forms, each folded batch's seasonal heads
-    through their composed mixer chain, matches the embedding path's
-    forecast of the same batch within the golden harness's norm-relative
-    bounds (1e-6 in float32, 1e-12 in float64). C=7, T=F=96 unless stated;
-    300 windows (batches of 256 and 44), 80 at F=720 (39, 39 and an
-    unfolded 2) and 14 at C=321 (6, 6, 2)."""
+    """Every forecast ``evaluate`` forms, each from the inference plan,
+    matches the embedding path's forecast of the same windows within the
+    golden harness's norm-relative bounds (1e-6 in float32, 1e-12 in
+    float64). C=7, T=F=96 unless stated; 300 windows, 80 at F=720 and 14
+    at C=321, in batches of ``eval_batch_size`` windows (256 and 44; 39,
+    39 and 2; 6, 6 and 2), the short last ones from the plan too."""
     cfg = ModelConfig(**{"lookback": 96, "horizon": 96, "channels": 7, **kw})
     params = init_params(cfg, 0).astype(dtype)
-    batches = []
-    original = evaluation.predict
-
-    def record(x, params, cfg):
-        batches.append((x, original(x, params, cfg)))
-        return batches[-1][1]
-    monkeypatch.setattr(evaluation, "predict", record)
+    forecasts = _capturing(monkeypatch)
+    builds = _counting_builds(monkeypatch)
     evaluate(params, cfg, _windows(cfg, count))
     monkeypatch.setattr(model, "fold_pays", lambda *shape: False)
-    assert len(batches) == -(-count // eval_batch_size(cfg.channels, cfg.horizon))
-    for i, (x, got) in enumerate(batches):
+    size = eval_batch_size(cfg.channels, cfg.horizon)
+    assert len(forecasts) == -(-count // size) and len(builds) == 1
+    for x, got in forecasts.values():
         want = forward(x, params, cfg).final
         assert got.dtype == want.dtype and got.shape == want.shape
         err = np.linalg.norm(got.astype(np.float64) - want) / np.linalg.norm(want)
-        assert err <= TOLERANCE[dtype], (i, err)
+        assert err <= TOLERANCE[dtype], (len(x), err)
 
 
-def test_evaluate_builds_the_folded_operators_once(monkeypatch):
+def test_evaluate_builds_the_plan_once(monkeypatch):
     """At F=720 (T=96, C=7) an evaluation batch of 39 windows folds: the
-    11 batches of a 420-window split share one build, and no folded batch
-    multiplies by a seasonal head or mixer. A split whose batches do not
-    fold builds nothing, nor do ``predict``, ``forward`` and a training
+    11 batches of a 420-window split share one plan, and none multiplies
+    by a seasonal head or mixer. A split whose batches do not fold builds
+    nothing, nor do ``predict``, ``forward`` and a training
     step on batches that fold."""
     cfg = ModelConfig(lookback=96, horizon=720, channels=7)
     params = init_params(cfg, 0)
@@ -329,8 +338,8 @@ def test_evaluate_builds_the_folded_operators_once(monkeypatch):
 def test_evaluate_carries_nothing_across_calls(monkeypatch):
     """Evaluate, take one AdamW step, evaluate again: the second call sees
     the stepped parameters, bit for bit as a fresh copy of them. A call
-    that raises mid-split leaves no operators behind: a later forward of
-    the same parameters has the bits it had before."""
+    that raises mid-split leaves nothing behind: a later forward of the
+    same parameters has the bits it had before."""
     cfg = ModelConfig(lookback=96, horizon=96, channels=7)
     params = init_params(cfg, 0)
     windows = _windows(cfg, 300)
@@ -346,11 +355,11 @@ def test_evaluate_carries_nothing_across_calls(monkeypatch):
     before = forward(x, params, cfg).final.tobytes()
     original = evaluation.predict
 
-    def fail_second(x, params, cfg, calls=[]):
+    def fail_second(x, params, cfg, plan=None, calls=[]):
         calls.append(len(x))
         if len(calls) == 2:
             raise RuntimeError("second batch")
-        return original(x, params, cfg)
+        return original(x, params, cfg, plan=plan)
     monkeypatch.setattr(evaluation, "predict", fail_second)
     with pytest.raises(RuntimeError, match="second batch"):
         evaluate(params, cfg, windows)

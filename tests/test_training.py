@@ -422,7 +422,8 @@ def test_entry_points_reach_the_forward_through_its_module(kind, monkeypatch):
     """``forecaster`` reads the forwards as module attributes when it is
     called, so wrappers set over every mdmixer module's copy of them (as a
     tracer does) see each forward that training.backward,
-    evaluation.predict and gradcheck run, and nothing else."""
+    evaluation.predict and gradcheck run, and nothing else: gradcheck's are
+    its backward's, two per entry and one more pair at its worst entry."""
     import mdmixer.baselines as baselines
     import mdmixer.model as model
     from mdmixer.evaluation import predict
@@ -449,7 +450,7 @@ def test_entry_points_reach_the_forward_through_its_module(kind, monkeypatch):
     x, y = rand_batch(rng, 3, 8, 2), rand_batch(rng, 3, 4, 2)
     for run, count in ((lambda: backward(x, y, params, cfg), 1),
                        (lambda: predict(x, params, cfg), 1),
-                       (lambda: gradcheck(cfg, seed=0), 1 + 2 * params.flat.size)):
+                       (lambda: gradcheck(cfg, seed=0), 1 + 2 * (params.flat.size + 1))):
         calls.clear()
         run()
         assert calls == [expected] * count
@@ -482,6 +483,28 @@ def test_layout_drops_unused_parameters(ablation, dropped):
 def test_backward_matches_finite_differences(tiny_cfg):
     report = gradcheck(tiny_cfg, seed=0, h=1e-5, tol=1e-4)
     assert report.passed, (report.max_rel_err, report.worst_param)
+
+
+def test_gradcheck_reports_the_worst_entrys_noise(tiny_cfg):
+    """The report holds the worst entry's analytic gradient, the reverse
+    pass's own value, and ``|q(h) - q(h/10)|`` of its central quotients
+    on gradcheck's batch (seeded by ``seed + 1``)."""
+    report = gradcheck(tiny_cfg, seed=0, h=1e-5)
+    name, index = report.worst_param[:-1].split("[")
+    params = init_params(tiny_cfg, 0, dtype=np.float64)
+    rng = np.random.default_rng(1)
+    x, y = rng.normal(size=(3, 8, 2)), rng.normal(size=(3, 4, 2))
+    grads, _ = backward(x, y, params, tiny_cfg)
+    assert report.worst_analytic == grads[name].flat[int(index)]
+
+    def quotient(step):
+        losses = []
+        for sign in (1, -1):
+            moved = params.copy()
+            moved[name].flat[int(index)] += sign * step
+            losses.append(total_loss(forward(x, moved, tiny_cfg), y, tiny_cfg).total)
+        return (losses[0] - losses[1]) / (2.0 * step)
+    assert report.worst_noise == abs(quotient(1e-5) - quotient(1e-5 / 10))
 
 
 @pytest.mark.parametrize("kind", ["linear_direct", "decomp_linear", "dual_branch"])
