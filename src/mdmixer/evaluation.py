@@ -66,7 +66,7 @@ def predict(x: np.ndarray, params: ParamSet, cfg: ModelConfig | BaselineConfig,
     """Forecast (B x F x C) from either the main model or a baseline; with
     ``plan``, an ``inference_plan`` of ``params`` and ``cfg``, from it."""
     if plan is not None:
-        return plan_forecast(x, plan)
+        return plan_forecast(x, params, cfg, plan)
     _, _, forward_with_context, _ = forecaster(cfg)
     return forward_with_context(x, params, cfg)[0].final
 

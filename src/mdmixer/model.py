@@ -489,8 +489,9 @@ def season_chain(op: np.ndarray, params: ParamSet, cfg: ModelConfig) -> list[np.
     """Each head's seasonal forecast, mixer chain included, as one affine
     map of the seasonal series stacked like its ``embed_operator`` ``op``:
     ``O_i = op W_i + [0; b_i] + O_{i-1} M_i + [0; m_i]`` (no ``M`` term with
-    MIM off), composed in float64 and cast once to the parameters' dtype."""
-    t, op64, chain = cfg.lookback, op.astype(np.float64), []
+    MIM off), composed in float64 and cast once to ``op``'s dtype (not
+    copied again when that is float64)."""
+    t, op64, chain = cfg.lookback, op.astype(np.float64, copy=False), []
     for i in range(1, cfg.heads + 1):
         weight, bias = _affine(params, f"season_head_{i}")
         o = op64 @ weight
@@ -500,7 +501,7 @@ def season_chain(op: np.ndarray, params: ParamSet, cfg: ModelConfig) -> list[np.
             o += chain[-1] @ weight
             o[t:] += bias
         chain.append(o)
-    return [o.astype(op.dtype) for o in chain]
+    return [o.astype(op.dtype, copy=False) for o in chain]
 
 
 class InferencePlan(NamedTuple):
@@ -513,8 +514,6 @@ class InferencePlan(NamedTuple):
     band block (F <= ``BAND_WIDTH``), else None."""
     operator: np.ndarray
     interp: np.ndarray | None
-    params: ParamSet
-    cfg: ModelConfig
 
 
 def inference_plan(params: ParamSet, cfg: ModelConfig) -> InferencePlan:
@@ -522,7 +521,8 @@ def inference_plan(params: ParamSet, cfg: ModelConfig) -> InferencePlan:
     branch's ``embed_operator`` is first folded over its part of the split,
     ``x @ M`` for the trend and ``x - x @ M`` for the seasonal series."""
     t, split = cfg.lookback, _moving_average_matrix(cfg.lookback, cfg.kernel)
-    op_s, op_t = (embed_operator(params, br, cfg).astype(np.float64) for br in "st")
+    op_s, op_t = (embed_operator(params, br, cfg).astype(np.float64, copy=False)
+                  for br in "st")
     op_s[:t] -= split @ op_s[:t]
     op_t[:t] = split @ op_t[:t]
     columns = season_chain(op_s, params, cfg)
@@ -536,17 +536,17 @@ def inference_plan(params: ParamSet, cfg: ModelConfig) -> InferencePlan:
         interp = np.concatenate([_interp_matrix(g, cfg.horizon) for g in
                                  granularity_schedule(cfg.horizon, cfg.heads)])
         interp = interp.astype(params.dtype)
-    return InferencePlan(np.concatenate(columns, axis=1).astype(params.dtype),
-                         interp, params, cfg)
+    return InferencePlan(np.concatenate(columns, axis=1, dtype=params.dtype), interp)
 
 
-def plan_forecast(x: np.ndarray, plan: InferencePlan) -> np.ndarray:
-    """``forward(x, ...).final`` from ``plan``, in other rounding: one
+def plan_forecast(x: np.ndarray, params: ParamSet, cfg: ModelConfig,
+                  plan: InferencePlan) -> np.ndarray:
+    """``forward(x, params, cfg).final`` from ``plan``, the
+    ``inference_plan`` of ``params`` and ``cfg``, in other rounding: one
     product of the normalized windows with its operator, then per head
     ReLU, ``fc2`` and the trend mixer added into the head's seasonal
     columns, the gate, and the fusion, at F <= ``BAND_WIDTH`` one product
     of the gate-scaled heads with the stacked interpolation operators."""
-    params, cfg = plan.params, plan.cfg
     x_norm, stats = front_end(x, params, cfg)
     b, c, t, heads, hid = len(x), cfg.channels, cfg.lookback, cfg.heads, cfg.hidden
     schedule = granularity_schedule(cfg.horizon, heads)

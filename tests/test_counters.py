@@ -114,10 +114,10 @@ def measure(name: str) -> dict[str, int]:
               "predict_c_calls": predict_calls[1]}
     if family != "mdmixer":
         return counts
-    task = windows.inputs[:eval_batch_size(channels, horizon)]
+    batch = windows.inputs[:eval_batch_size(channels, horizon)]
     plan = inference_plan(params, cfg)
     probes = {"plan_build": lambda: inference_plan(params, cfg),
-              "plan_task": lambda: predict(task, params, cfg, plan=plan)}
+              "plan_batch": lambda: predict(batch, params, cfg, plan=plan)}
     for name, probe in probes.items():
         probe()
         calls = _calls(probe)

@@ -160,7 +160,7 @@ def test_long_horizon_evaluation_memory_is_bounded():
     assert peak < 48e6, peak
 
 
-def test_evaluate_metrics_match_two_temporaries(tiny_cfg, monkeypatch):
+def test_evaluate_metrics_match_two_temporaries(tiny_cfg):
     # the residual buffer is reused for |d| and then |d|**2, which equals
     # d**2 exactly, so the sums are those of separate temporaries
     params = init_params(tiny_cfg, 5)
@@ -259,14 +259,14 @@ def _counting_builds(monkeypatch) -> list:
     return builds
 
 
-def _capturing(monkeypatch) -> dict:
-    """Each task's forecast, by the address of its first window."""
-    forecasts = {}
+def _capturing(monkeypatch) -> list:
+    """Each batch's windows and forecast, in the order ``evaluate`` runs them."""
+    forecasts = []
     original = evaluation.predict
 
     def record(x, params, cfg, plan=None):
-        forecasts[x.ctypes.data] = (x, original(x, params, cfg, plan=plan))
-        return forecasts[x.ctypes.data][1]
+        forecasts.append((x, original(x, params, cfg, plan=plan)))
+        return forecasts[-1][1]
     monkeypatch.setattr(evaluation, "predict", record)
     return forecasts
 
@@ -291,7 +291,7 @@ def test_evaluate_forecasts_match_the_embedding_path(kw, count, dtype, monkeypat
     monkeypatch.setattr(model, "fold_pays", lambda *shape: False)
     size = eval_batch_size(cfg.channels, cfg.horizon)
     assert len(forecasts) == -(-count // size) and len(builds) == 1
-    for x, got in forecasts.values():
+    for x, got in forecasts:
         want = forward(x, params, cfg).final
         assert got.dtype == want.dtype and got.shape == want.shape
         err = np.linalg.norm(got.astype(np.float64) - want) / np.linalg.norm(want)
