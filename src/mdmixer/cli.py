@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -170,6 +171,9 @@ def cmd_forecast(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    for flag, value in (("--h", args.h), ("--tol", args.tol)):
+        if not (math.isfinite(value) and value > 0):
+            raise ConfigError(f"{flag} must be a positive finite number, got {value}")
     run_cfg = _load_config(args)
     channels = run_cfg.channels
     if channels is None:

@@ -94,9 +94,7 @@ def evaluate(params: ParamSet, cfg, windows: WindowBatch, dataset: str = "",
     if not batches:
         raise ValueError("cannot evaluate an empty split")
     plan = None
-    if isinstance(cfg, ModelConfig) and fold_pays(
-            len(batches[0][0]) * cfg.channels, cfg.lookback, cfg.num_patches * cfg.embed_dim,
-            cfg.channels if cfg.pos_encoding == "per_channel" else 1):
+    if isinstance(cfg, ModelConfig) and fold_pays(cfg, len(batches[0][0]) * cfg.channels):
         plan = inference_plan(params, cfg)
     sq_sum = 0.0
     abs_sum = 0.0

@@ -329,11 +329,14 @@ def embed(patches: np.ndarray, weight: np.ndarray, bias: np.ndarray,
     return linear(patches, weight, bias) + pos
 
 
-def fold_pays(rows: int, lookback: int, width: int, offset_rows: int) -> bool:
-    """Whether a head's first product costs fewer multiply-adds per output
-    column folded, ``(lookback + offset_rows) x width + rows x lookback``,
-    than on the embeddings, ``rows x width``."""
-    return rows * (width - lookback) > (lookback + offset_rows) * width
+def fold_pays(cfg: ModelConfig, rows: int) -> bool:
+    """Whether a head's first product over ``rows`` (window, channel) rows
+    costs fewer multiply-adds per output column folded, ``(T + C') x N*D +
+    rows x T``, than on the embeddings, ``rows x N*D``; C' is the operator's
+    offset rows (C with per-channel positional encodings, else 1)."""
+    t, width = cfg.lookback, cfg.num_patches * cfg.embed_dim
+    offset_rows = cfg.channels if cfg.pos_encoding == "per_channel" else 1
+    return rows * (width - t) > (t + offset_rows) * width
 
 
 def embed_operator(params: ParamSet, branch: str, cfg: ModelConfig) -> np.ndarray:
@@ -619,8 +622,7 @@ def forward_with_context(x: np.ndarray, params: ParamSet,
     decomposed = decompose(x_norm, cfg.kernel)
     parts = (decomposed.seasonal, decomposed.trend)
     series = [part.transpose(0, 2, 1) for part in parts]  # (B, C, T) rows
-    if fold_pays(b * c, cfg.lookback, cfg.num_patches * cfg.embed_dim,
-                 c if cfg.pos_encoding == "per_channel" else 1):
+    if fold_pays(cfg, b * c):
         ops = [embed_operator(params, br, cfg) for br in "st"]
         inputs = series
         pooled = (u @ m[:cfg.lookback] + m[cfg.lookback:]

@@ -350,7 +350,9 @@ def write_train_report(report: TrainReport, csv_path: str | Path,
 def gradcheck(cfg: ModelConfig | BaselineConfig, seed: int, h: float = 1e-5,
               tol: float = 1e-4, batch: int = 3) -> GradCheckReport:
     """Compare the reverse pass against central finite differences over
-    every parameter entry, on one fixed random batch, in float64."""
+    every parameter entry, on one fixed random batch, in float64. A
+    non-finite error counts as infinite: the first entry to have one is
+    the worst, and the check fails."""
     _, init, forward_with_context, _ = forecaster(cfg)
     params = init(cfg, seed, dtype=np.float64)
     rng = np.random.default_rng(seed + 1)
@@ -376,6 +378,8 @@ def gradcheck(cfg: ModelConfig | BaselineConfig, seed: int, h: float = 1e-5,
     for idx, (entry, analytic) in enumerate(zip(entries, grads.flat)):
         numeric = quotient(idx, h)
         rel = abs(numeric - analytic) / max(abs(numeric), abs(analytic), 1e-8)
+        if not math.isfinite(rel):  # a NaN compares false: it would pass
+            rel = math.inf
         if rel > report.max_rel_err:
             report.max_rel_err, report.worst_param = rel, entry
             report.worst_analytic, worst = float(analytic), (idx, numeric)

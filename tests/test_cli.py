@@ -215,17 +215,34 @@ def test_checkpoint_commands_exit_2_before_writing(tmp_path, capsys, trained,
     assert not target.exists()
 
 
-def test_gradcheck_command(tmp_path, capsys):
+def _gradcheck_config(tmp_path):
     cfg = tmp_path / "grad.cfg"
     cfg.write_text("data.channels = 2\nmodel.lookback = 8\nmodel.horizon = 4\n"
                    "model.patch_len = 4\nmodel.stride = 2\nmodel.embed_dim = 3\n"
                    "model.heads = 2\nmodel.hidden = 4\nmodel.kernel = 3\n"
                    "seeds = 1\n")
+    return cfg
+
+
+def test_gradcheck_command(tmp_path, capsys):
+    cfg = _gradcheck_config(tmp_path)
     assert main(["gradcheck", "--config", str(cfg)]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[0].startswith("max relative error")
     assert out[1].startswith("worst entry: analytic gradient ")
     assert "finite-difference noise" in out[1]
+
+
+@pytest.mark.parametrize("flag", ["--h", "--tol"])
+@pytest.mark.parametrize("value", ["0", "-1e-5", "nan", "inf"])
+def test_gradcheck_bad_step_or_tolerance_exits_2(tmp_path, capsys, flag, value):
+    """The step and the tolerance must be positive and finite: a zero step
+    divides by zero, and a NaN one or a NaN tolerance decides nothing."""
+    cfg = _gradcheck_config(tmp_path)
+    assert main(["gradcheck", "--config", str(cfg), f"{flag}={value}"]) == 2
+    captured = capsys.readouterr()
+    assert f"{flag} must be a positive finite number" in captured.err
+    assert captured.out == ""
 
 
 def test_divergence_exits_3(tmp_path, capsys):

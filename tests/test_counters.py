@@ -45,15 +45,9 @@ from mdmixer.evaluation import eval_batch_size, predict
 from mdmixer.model import inference_plan
 from mdmixer.training import adamw_step, backward, init_optimizer
 
+from shapes import WORKLOADS
+
 FIXTURE = Path(__file__).with_name("counters.json")
-# name -> (family, channels, horizon, training batch), as bench/run.py's workloads
-SHAPES = {
-    "ett_c7": ("mdmixer", 7, 96, 32),
-    "long_f720": ("mdmixer", 7, 720, 8),
-    "wide_c321": ("mdmixer", 321, 96, 4),
-    "dual_branch_c7": ("dual_branch", 7, 96, 32),
-}
-LOOKBACK = 96
 
 
 def versions() -> dict[str, str]:
@@ -86,14 +80,16 @@ def _peak_bytes(fn) -> int:
 
 
 def measure(name: str) -> dict[str, int]:
-    """The counters of one shape, after a warm-up step and forecast."""
-    family, channels, horizon, batch = SHAPES[name]
-    shape = dict(lookback=LOOKBACK, horizon=horizon, channels=channels)
-    cfg = (ModelConfig(**shape) if family == "mdmixer"
-           else BaselineConfig(kind=family, **shape))
+    """The counters of one workload's shape, after a warm-up step and
+    forecast."""
+    w = WORKLOADS[name]
+    lookback, horizon, channels, batch = w.lookback, w.horizon, w.channels, w.batch
+    shape = dict(lookback=lookback, horizon=horizon, channels=channels)
+    cfg = (ModelConfig(**shape, **w.model) if w.kind == "mdmixer"
+           else BaselineConfig(kind=w.kind, **shape, **w.baseline))
     rng = np.random.default_rng(0)
-    series = rng.normal(size=(LOOKBACK + horizon + 2 * batch, channels))
-    windows = make_windows(series.astype(np.float32), LOOKBACK, horizon)
+    series = rng.normal(size=(lookback + horizon + 2 * batch, channels))
+    windows = make_windows(series.astype(np.float32), lookback, horizon)
     xb, yb = next(windows.batches(batch, rng.permutation(len(windows))))
     window = windows.inputs[:1]
     params = forecaster(cfg)[1](cfg, 0)
@@ -112,7 +108,7 @@ def measure(name: str) -> dict[str, int]:
               "step_peak_bytes": _peak_bytes(step),
               "predict_python_calls": predict_calls[0],
               "predict_c_calls": predict_calls[1]}
-    if family != "mdmixer":
+    if w.kind != "mdmixer":
         return counts
     batch = windows.inputs[:eval_batch_size(channels, horizon)]
     plan = inference_plan(params, cfg)
@@ -127,7 +123,7 @@ def measure(name: str) -> dict[str, int]:
 
 
 def measure_all() -> dict[str, dict[str, int]]:
-    return {name: measure(name) for name in SHAPES}
+    return {name: measure(name) for name in WORKLOADS}
 
 
 def measured_fresh() -> dict:

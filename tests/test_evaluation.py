@@ -16,7 +16,7 @@ from mdmixer.training import adamw_step, backward, init_optimizer
 
 from conftest import TINY, make_frame, rand_batch
 from golden import TOLERANCE
-from test_training import TRAINED_SHAPES
+from shapes import SHAPES, model_config
 
 
 # ---------------------------------------------------------------------------
@@ -273,9 +273,8 @@ def _capturing(monkeypatch) -> list:
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("kw, count", [
-    *(pytest.param(*shape.values, 80 if shape.values[0].get("horizon") == 720 else 300,
-                   id=shape.id) for shape in TRAINED_SHAPES),
-    pytest.param(dict(channels=321), 14, id="C321")])
+    pytest.param(*shape.values, {"F720": 80, "C321": 14}.get(shape.id, 300), id=shape.id)
+    for shape in SHAPES])
 def test_evaluate_forecasts_match_the_embedding_path(kw, count, dtype, monkeypatch):
     """Every forecast ``evaluate`` forms, each from the inference plan,
     matches the embedding path's forecast of the same windows within the
@@ -283,12 +282,12 @@ def test_evaluate_forecasts_match_the_embedding_path(kw, count, dtype, monkeypat
     float64). C=7, T=F=96 unless stated; 300 windows, 80 at F=720 and 14
     at C=321, in batches of ``eval_batch_size`` windows (256 and 44; 39,
     39 and 2; 6, 6 and 2), the short last ones from the plan too."""
-    cfg = ModelConfig(**{"lookback": 96, "horizon": 96, "channels": 7, **kw})
+    cfg = model_config(kw)
     params = init_params(cfg, 0).astype(dtype)
     forecasts = _capturing(monkeypatch)
     builds = _counting_builds(monkeypatch)
     evaluate(params, cfg, _windows(cfg, count))
-    monkeypatch.setattr(model, "fold_pays", lambda *shape: False)
+    monkeypatch.setattr(model, "fold_pays", lambda cfg, rows: False)
     size = eval_batch_size(cfg.channels, cfg.horizon)
     assert len(forecasts) == -(-count // size) and len(builds) == 1
     for x, got in forecasts:

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -230,10 +231,14 @@ def test_season_chain_is_the_mixed_seasonal_heads(kw):
 def test_fold_pays_from_multiply_adds():
     """The fold pays once the rows' saving, ``rows x (N*D - T)``, exceeds
     the cost of folding the operator's T + C' rows into each weight."""
-    assert not fold_pays(129, 96, 384, 1) and fold_pays(130, 96, 384, 1)
-    assert not fold_pays(10**6, 96, 96, 1)  # no saving when N*D <= T
+    cfg = ModelConfig(lookback=96, horizon=96, channels=7)  # N*D = 384
+    assert cfg.num_patches * cfg.embed_dim == 384
+    assert not fold_pays(cfg, 129) and fold_pays(cfg, 130)
+    narrow = replace(cfg, embed_dim=16)  # no saving when N*D <= T
+    assert narrow.num_patches * narrow.embed_dim == 96 and not fold_pays(narrow, 10**6)
     # per-channel encodings fold C more rows: C=321 pays at B=4, not B=1
-    assert fold_pays(4 * 321, 96, 384, 321) and not fold_pays(321, 96, 384, 321)
+    wide = replace(cfg, channels=321, pos_encoding="per_channel")
+    assert fold_pays(wide, 4 * 321) and not fold_pays(wide, 321)
 
 
 @st.composite

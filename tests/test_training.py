@@ -1,4 +1,3 @@
-import itertools
 import math
 import pickle
 import sys
@@ -23,6 +22,7 @@ from mdmixer.training import ADAMW_BLOCK, TrainingDiverged, \
 
 from conftest import HORIZONS, TINY, assert_banded_matches_dense, \
     head_lengths, rand_batch
+from shapes import BASE, C7_SHAPES, SHAPES, WORKLOADS, model_config
 
 
 # ---------------------------------------------------------------------------
@@ -507,6 +507,25 @@ def test_gradcheck_reports_the_worst_entrys_noise(tiny_cfg):
     assert report.worst_noise == abs(quotient(1e-5) - quotient(1e-5 / 10))
 
 
+def test_gradcheck_fails_on_a_nan_gradient(tiny_cfg, monkeypatch):
+    """A NaN analytic gradient makes its relative error NaN, which compares
+    false against the worst so far: the check must count it as the worst
+    entry, name it and fail, not skip it."""
+    from mdmixer import training
+    original = training.backward
+
+    def planted(*args, **kwargs):
+        grads, loss = original(*args, **kwargs)
+        grads.flat[5] = np.nan
+        return grads, loss
+    monkeypatch.setattr(training, "backward", planted)
+    report = gradcheck(tiny_cfg, seed=0)
+    names = [f"{n}[{i}]" for n, shape in param_layout(tiny_cfg).items()
+             for i in range(math.prod(shape))]
+    assert not report.passed and report.max_rel_err == math.inf
+    assert report.worst_param == names[5] and math.isnan(report.worst_analytic)
+
+
 @pytest.mark.parametrize("kind", ["linear_direct", "decomp_linear", "dual_branch"])
 def test_baseline_backward_matches_finite_differences(kind):
     cfg = BaselineConfig(kind=kind, lookback=8, horizon=4, channels=2,
@@ -546,42 +565,24 @@ def test_gradcheck_exotic_geometries(kw):
     assert gradcheck(ModelConfig(**kw), seed=0).passed
 
 
-def _ablation(mim: bool, amwg: bool, align_loss: bool, mpp: bool):
-    """The paper's ablations as config values, with an id naming the
-    components on and off: no alignment loss is align_weight = 0, no
-    parallel prediction one head. One head has no mixer and no gate, so
-    there use_mim and use_amwg change only which code path runs."""
-    flags = dict(mim=mim, amwg=amwg, align_loss=align_loss, mpp=mpp)
-    return pytest.param(
-        dict(use_mim=mim, use_amwg=amwg, align_weight=0.01 if align_loss else 0.0,
-             heads=8 if mpp else 1),
-        id="-".join(f"{name}{'' if on else '_off'}" for name, on in flags.items()))
-
-
-TRAINED_SHAPES = [
-    *(_ablation(*flags) for flags in itertools.product((True, False), repeat=4)),
-    pytest.param(dict(pos_encoding="per_channel"), id="per_channel"),
-    pytest.param(dict(stride=10), id="stride10"),  # does not divide T - patch_len
-    pytest.param(dict(horizon=720), id="F720"),
-]
 TENSOR_GROUPS = {"embed": "embed_", "pos": "pos_", "season heads": "season_head_",
                  "trend heads": "trend_head_", "mixers": "mixer_", "gate": "gate."}
 
 
 @pytest.mark.parametrize("kw, batch", [
-    *(pytest.param(*shape.values, 4, id=shape.id) for shape in TRAINED_SHAPES),
-    *(pytest.param(*shape.values, 32, id=f"{shape.id}-B32") for shape in TRAINED_SHAPES)])
+    *(pytest.param(*shape.values, 4, id=shape.id) for shape in C7_SHAPES),
+    *(pytest.param(*shape.values, 32, id=f"{shape.id}-B32") for shape in C7_SHAPES)])
 def test_directional_gradient_at_trained_shapes(kw, batch):
     """<grad L, v> of a C=7, T=96 model (F=96 unless stated) on B=4 windows,
     and on B=32, where the embedding is folded into the heads as in
     training, in float64, against central differences along one seeded
     unit direction v at steps h and h/10; it passes when either quotient
-    agrees within 1e-4. The per-entry gradchecks run toy shapes, too short
-    to split the banded upsampling and pooling operators into several
-    blocks; F=720 does. The float32 gradients of the same parameters and
-    batch must also be within 1e-5 (norm-relative) of the float64 ones in
-    every tensor group."""
-    cfg = ModelConfig(**{"lookback": 96, "horizon": 96, "channels": 7, **kw})
+    agrees within 1e-4, on ``shapes.C7_SHAPES``. The per-entry gradchecks
+    run toy shapes, too short to split the banded upsampling and pooling
+    operators into several blocks; F=720 does. The float32 gradients of
+    the same parameters and batch must also be within 1e-5 (norm-relative)
+    of the float64 ones in every tensor group."""
+    cfg = model_config(kw)
     rng = np.random.default_rng(720)
     params = init_params(cfg, 0, dtype=np.float32).astype(np.float64)
     x = rng.normal(size=(batch, cfg.lookback, cfg.channels)).astype(np.float32)
@@ -622,7 +623,7 @@ def _both_associations(cfg, batch, dtype, monkeypatch) -> list[dict]:
     y = rand_batch(rng, batch, cfg.horizon, cfg.channels, dtype)
     runs = []
     for folded in (False, True):
-        monkeypatch.setattr(model, "fold_pays", lambda *shape, folded=folded: folded)
+        monkeypatch.setattr(model, "fold_pays", lambda cfg, rows, folded=folded: folded)
         out, saved = model.forward_with_context(x, params, cfg)
         assert (saved.ops[0] is not None) == folded
         grads, _ = backward(x, y, params, cfg)
@@ -635,8 +636,8 @@ def _both_associations(cfg, batch, dtype, monkeypatch) -> list[dict]:
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("kw, batch", [
-    *(pytest.param(*shape.values, 32, id=shape.id) for shape in TRAINED_SHAPES),
-    pytest.param(dict(channels=321), 4, id="C321")])
+    pytest.param(*shape.values, 4 if shape.id == "C321" else 32, id=shape.id)
+    for shape in SHAPES])
 def test_fold_matches_the_embeddings(kw, batch, dtype, monkeypatch):
     """Folding the patch embedding into the heads' first products changes
     only the rounding: the forecast, every per-granularity series, the gate
@@ -645,7 +646,7 @@ def test_fold_matches_the_embeddings(kw, batch, dtype, monkeypatch):
     1e-12 in float64), at C=7, T=F=96 (unless stated), B=32 and at C=321,
     B=4."""
     from golden import TOLERANCE, stats_errors, value_stats
-    cfg = ModelConfig(**{"lookback": 96, "horizon": 96, "channels": 7, **kw})
+    cfg = model_config(kw)
     plain, folded = _both_associations(cfg, batch, dtype, monkeypatch)
     assert list(plain) == list(folded)
     errors = stats_errors(value_stats(folded), value_stats(plain))
@@ -662,35 +663,39 @@ def test_gradcheck_on_both_sides_of_the_fold(kw, batch, folded):
     """Per-entry finite differences (1e-4) on a toy model whose batch has
     too few rows for the fold, and on batches with enough."""
     cfg = ModelConfig(**kw)
-    offset = cfg.channels if cfg.pos_encoding == "per_channel" else 1
-    assert model.fold_pays(batch * cfg.channels, cfg.lookback,
-                           cfg.num_patches * cfg.embed_dim, offset) == folded
+    assert model.fold_pays(cfg, batch * cfg.channels) == folded
     report = gradcheck(cfg, seed=0, batch=batch)
     assert report.passed, (report.max_rel_err, report.worst_param)
 
 
-@pytest.mark.parametrize("channels, horizon, batch, folded", [
-    pytest.param(7, 96, 32, True, id="ett_c7-train"),
-    pytest.param(7, 96, eval_batch_size(7, 96), True, id="ett_c7-eval"),
-    pytest.param(7, 96, 1, False, id="ett_c7-forecast"),
-    pytest.param(7, 720, 8, False, id="long_f720-train"),
-    pytest.param(7, 720, eval_batch_size(7, 720), True, id="long_f720-eval"),
-    pytest.param(7, 720, 1, False, id="long_f720-forecast"),
-    pytest.param(321, 96, 4, True, id="wide_c321-train"),
-    pytest.param(321, 96, eval_batch_size(321, 96), True, id="wide_c321-eval"),
-    pytest.param(321, 96, 1, True, id="wide_c321-forecast")])
-def test_each_workload_shape_takes_its_association(channels, horizon, batch, folded):
+# (benchmark workload, call) -> whether its forward folds
+WORKLOAD_FOLDS = {
+    ("ett_c7", "train"): True, ("ett_c7", "eval"): True, ("ett_c7", "forecast"): False,
+    ("long_f720", "train"): False, ("long_f720", "eval"): True,
+    ("long_f720", "forecast"): False,
+    ("wide_c321", "train"): True, ("wide_c321", "eval"): True,
+    ("wide_c321", "forecast"): True,
+}
+
+
+@pytest.mark.parametrize("workload, call, folded", [
+    pytest.param(*key, folded, id="-".join(key)) for key, folded in WORKLOAD_FOLDS.items()])
+def test_each_workload_shape_takes_its_association(workload, call, folded):
     """Which association the forward picks for each benchmark workload's
-    train step, evaluation batch and single-window forecast (default
-    model, T=96): a 56-row F=720 step and every C=7 forecast keep the
-    embeddings; every batch of 224 rows or more folds."""
-    cfg = ModelConfig(lookback=96, horizon=horizon, channels=channels)
-    x = rand_batch(np.random.default_rng(0), batch, 96, channels)
+    train step, evaluation batch and single-window forecast, at the
+    workload's shape and training batch (``bench/run.py``): a 56-row F=720
+    step and every C=7 forecast keep the embeddings; every batch of 224
+    rows or more folds."""
+    w = WORKLOADS[workload]
+    cfg = ModelConfig(lookback=w.lookback, horizon=w.horizon, channels=w.channels, **w.model)
+    batch = {"train": w.batch, "eval": eval_batch_size(w.channels, w.horizon),
+             "forecast": 1}[call]
+    x = rand_batch(np.random.default_rng(0), batch, cfg.lookback, cfg.channels)
     _, saved = model.forward_with_context(x, init_params(cfg, 0), cfg)
     assert [op is not None for op in saved.ops] == [folded, folded]
 
 
-@pytest.mark.parametrize("kw", TRAINED_SHAPES + [
+@pytest.mark.parametrize("kw", C7_SHAPES + [
     pytest.param(dict(kind=kind), id=kind)
     for kind in ("linear_direct", "decomp_linear", "dual_branch")])
 def test_backward_writes_every_gradient(kw, monkeypatch):
@@ -699,9 +704,8 @@ def test_backward_writes_every_gradient(kw, monkeypatch):
     arena filled with NaN beforehand, and again with zeros, the gradients
     must be finite and the same bytes. No tensor's gradient is all zero,
     since a layout holds only tensors the forecast uses. C=7, T=96, F=96
-    unless stated, on the trained shapes and the three baselines."""
-    shape = {"lookback": 96, "horizon": 96, "channels": 7, **kw}
-    cfg = BaselineConfig(**shape) if "kind" in kw else ModelConfig(**shape)
+    unless stated, on ``shapes.C7_SHAPES`` and the three baselines."""
+    cfg = BaselineConfig(**BASE, **kw) if "kind" in kw else model_config(kw)
     params = (init_baseline_params if "kind" in kw else init_params)(cfg, 0)
     rng = np.random.default_rng(96)
     x = rand_batch(rng, 4, cfg.lookback, cfg.channels)
@@ -725,13 +729,13 @@ def test_backward_writes_every_gradient(kw, monkeypatch):
     assert runs[0] == runs[1]
 
 
-@pytest.mark.parametrize("kw", TRAINED_SHAPES)
+@pytest.mark.parametrize("kw", C7_SHAPES)
 def test_init_draws_the_full_models_stream(kw):
     """A tensor starts from the same bytes under every ablation: each
     config's init equals the full model's (every component on, at the
     config's heads) on the tensors it keeps, and the init ``forecaster``
     hands to ``train`` is the same. C=7, T=96, F=96 unless stated."""
-    cfg = ModelConfig(**{"lookback": 96, "horizon": 96, "channels": 7, **kw})
+    cfg = model_config(kw)
     params = init_params(cfg, 3)
     full = init_params(replace(cfg, use_mim=True, use_amwg=True), 3)
     assert set(params.names()) <= set(full.names())
